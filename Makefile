@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBackward -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzSparseDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/compress
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzGradientDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/dist
 
 # cover enforces statement-coverage floors on the numerically critical
 # packages. Floors sit a few points below current coverage: they catch a

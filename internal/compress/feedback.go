@@ -127,30 +127,49 @@ func partition(a []float32, lo, hi int) int {
 // wholly on one side), so the cumulative transmitted signal converges
 // to the cumulative raw signal.
 //
+// The residual buffer is the only per-tensor state: an encode adds the
+// gradient into it in place, selects over the compensated values there,
+// and zeroes the entries it keeps. Top-k selection needs a quickselect
+// scratch; the accumulators of one NewFeedbackSet share a single one,
+// sized to the set's largest tensor, while a zero Feedback grows its
+// own.
+//
 // One Feedback instance belongs to one tensor of one replica's gradient
 // set; it sizes itself lazily to the first encode and is not safe for
-// concurrent use.
+// concurrent use (nor are the members of one set with each other).
 type Feedback struct {
-	buf  []float32 // dropped residuals, same flat shape as the tensor
-	comp []float32 // compensated values scratch
-	sel  []float32 // quickselect scratch (top-k only)
+	buf []float32  // dropped residuals, same flat shape as the tensor
+	sel *[]float32 // quickselect scratch, shared across a NewFeedbackSet
+}
+
+// NewFeedbackSet returns n accumulators, one per tensor of a gradient
+// set, sharing one quickselect scratch.
+func NewFeedbackSet(n int) []*Feedback {
+	sel := new([]float32)
+	fb := make([]*Feedback, n)
+	for i := range fb {
+		fb[i] = &Feedback{sel: sel}
+	}
+	return fb
 }
 
 // Residual exposes the accumulated dropped values (aliased, same flat
 // layout as the tensor) — test and introspection surface.
 func (f *Feedback) Residual() []float32 { return f.buf }
 
-func (f *Feedback) ensure(n int) {
+// compensate adds m into the residual buffer, which then holds the
+// compensated values the encode selects over.
+func (f *Feedback) compensate(m *tensor.Matrix) {
+	n := len(m.Data)
 	if cap(f.buf) < n {
 		grown := make([]float32, n)
 		copy(grown, f.buf)
 		f.buf = grown
 	}
 	f.buf = f.buf[:n]
-	if cap(f.comp) < n {
-		f.comp = make([]float32, n)
+	for i, v := range m.Data {
+		f.buf[i] = v + f.buf[i]
 	}
-	f.comp = f.comp[:n]
 }
 
 // EncodeInto compensates m with the accumulated residual, encodes the
@@ -158,33 +177,30 @@ func (f *Feedback) ensure(n int) {
 // storage), and retains every dropped compensated value in the
 // residual buffer. m itself is not modified.
 func (f *Feedback) EncodeInto(dst *Sparse, m *tensor.Matrix, threshold float32) *Sparse {
-	f.ensure(len(m.Data))
-	for i, v := range m.Data {
-		f.comp[i] = v + f.buf[i]
-	}
-	return f.encodeComp(dst, m, threshold)
+	f.compensate(m)
+	return f.split(dst, m, threshold)
 }
 
 // EncodeTopK compensates m with the accumulated residual, keeps the
 // keepFrac largest-magnitude compensated entries (threshold via
 // TopKThreshold), and retains the rest in the residual buffer.
 func (f *Feedback) EncodeTopK(dst *Sparse, m *tensor.Matrix, keepFrac float64) *Sparse {
-	f.ensure(len(m.Data))
-	for i, v := range m.Data {
-		f.comp[i] = v + f.buf[i]
+	f.compensate(m)
+	if f.sel == nil {
+		f.sel = new([]float32)
 	}
-	th, sel := TopKThreshold(f.comp, keepFrac, f.sel)
-	f.sel = sel
-	return f.encodeComp(dst, m, th)
+	th, sel := TopKThreshold(f.buf, keepFrac, *f.sel)
+	*f.sel = sel
+	return f.split(dst, m, th)
 }
 
-// encodeComp encodes f.comp into dst and splits each element between
-// the encoding (kept) and the residual buffer (dropped).
-func (f *Feedback) encodeComp(dst *Sparse, m *tensor.Matrix, threshold float32) *Sparse {
+// split moves every compensated value at or above threshold from the
+// residual buffer into dst; what stays behind is the new residual.
+func (f *Feedback) split(dst *Sparse, m *tensor.Matrix, threshold float32) *Sparse {
 	dst.Rows, dst.Cols = m.Rows, m.Cols
 	dst.Values = dst.Values[:0]
 	dst.Indices = dst.Indices[:0]
-	for i, v := range f.comp {
+	for i, v := range f.buf {
 		av := v
 		if av < 0 {
 			av = -av
@@ -193,8 +209,6 @@ func (f *Feedback) encodeComp(dst *Sparse, m *tensor.Matrix, threshold float32) 
 			dst.Values = append(dst.Values, v)
 			dst.Indices = append(dst.Indices, int32(i))
 			f.buf[i] = 0
-		} else {
-			f.buf[i] = v
 		}
 	}
 	return dst

@@ -112,14 +112,50 @@ func TestEncodeWarmPathAllocFree(t *testing.T) {
 		t.Errorf("warm EncodeInto allocates %v times per run", n)
 	}
 	var fb Feedback
-	fb.EncodeInto(&dst, m, 0.1) // warm fb.buf/fb.comp
+	fb.EncodeInto(&dst, m, 0.1) // warm the residual buffer
 	if n := testing.AllocsPerRun(10, func() { fb.EncodeInto(&dst, m, 0.1) }); n != 0 {
 		t.Errorf("warm Feedback.EncodeInto allocates %v times per run", n)
 	}
 	var fbK Feedback
-	fbK.EncodeTopK(&dst, m, 0.05) // warm fb.buf/fb.comp/fb.sel
+	fbK.EncodeTopK(&dst, m, 0.05) // warm the residual buffer and quickselect scratch
 	if n := testing.AllocsPerRun(10, func() { fbK.EncodeTopK(&dst, m, 0.05) }); n != 0 {
 		t.Errorf("warm Feedback.EncodeTopK allocates %v times per run", n)
+	}
+}
+
+// TestFeedbackSetSharesScratch: accumulators of one NewFeedbackSet
+// share their quickselect scratch, and sharing changes no result — each
+// member encodes bitwise like a lone Feedback fed the same tensors.
+func TestFeedbackSetSharesScratch(t *testing.T) {
+	r := rng.New(5)
+	ms := []*tensor.Matrix{tensor.New(8, 16), tensor.New(1, 9), tensor.New(32, 4)}
+	set := NewFeedbackSet(len(ms))
+	lone := make([]Feedback, len(ms))
+	var a, b Sparse
+	for step := 0; step < 4; step++ {
+		for i, m := range ms {
+			for j := range m.Data {
+				m.Data[j] = r.Uniform(-1, 1)
+			}
+			set[i].EncodeTopK(&a, m, 0.2)
+			lone[i].EncodeTopK(&b, m, 0.2)
+			if a.NNZ() != b.NNZ() {
+				t.Fatalf("step %d tensor %d: %d vs %d pairs", step, i, a.NNZ(), b.NNZ())
+			}
+			for k := range a.Values {
+				if a.Indices[k] != b.Indices[k] || math.Float32bits(a.Values[k]) != math.Float32bits(b.Values[k]) {
+					t.Fatalf("step %d tensor %d pair %d differs", step, i, k)
+				}
+			}
+			for k, v := range set[i].Residual() {
+				if math.Float32bits(v) != math.Float32bits(lone[i].Residual()[k]) {
+					t.Fatalf("step %d tensor %d residual %d differs", step, i, k)
+				}
+			}
+		}
+	}
+	if set[0].sel != set[2].sel || cap(*set[0].sel) != len(ms[2].Data) {
+		t.Fatalf("set scratch not shared or not sized to the largest tensor (cap %d)", cap(*set[0].sel))
 	}
 }
 

@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -217,6 +220,97 @@ func TestGeomSumDiscriminates(t *testing.T) {
 		m(&c)
 		if GeomSum(c) == want {
 			t.Fatalf("mutation %d not reflected in geometry checksum", i)
+		}
+	}
+}
+
+// TestFrameStreamAllocFree pins the streaming codec's steady state:
+// once warm, a dense and a sparse gradient frame, encoded and decoded
+// through an in-memory pipe, allocate nothing per step.
+func TestFrameStreamAllocFree(t *testing.T) {
+	cfg := testCfg()
+	src, err := model.NewGradientsFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := model.NewGradientsFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillGradients(src, 5)
+	var pipe bytes.Buffer
+	w := bufio.NewWriter(&pipe)
+	rd := newFrameReader(bufio.NewReader(&pipe), dst)
+	enc := gradEncoder{opts: &CompressOptions{KeepFrac: 0.1, WarmupSteps: 1}}
+	var failed error
+	exchange := func(step int) {
+		enc.prepare(src, step)
+		err := enc.write(w, Frame{Type: FrameGrads, Step: uint32(step)}, 3)
+		if err == nil {
+			err = w.Flush()
+		}
+		if err != nil {
+			failed = err
+			return
+		}
+		f, contribs, _, err := rd.next(FrameGrads, dst)
+		if err != nil || f.Step != uint32(step) || contribs != 3 {
+			failed = fmt.Errorf("step %d: frame %+v contribs %d err %v", step, f, contribs, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		step int
+	}{{"dense", 0}, {"sparse", 1}} {
+		exchange(tc.step) // warm every buffer
+		if n := testing.AllocsPerRun(10, func() { exchange(tc.step) }); n != 0 {
+			t.Errorf("warm %s frame exchange allocates %v times per step", tc.name, n)
+		}
+		if failed != nil {
+			t.Fatal(failed)
+		}
+		if tc.step == 0 && !gradientsEqual(src, dst) {
+			t.Fatal("dense frame did not deliver the gradients bitwise")
+		}
+	}
+}
+
+// TestStreamMatchesSliceCodec: the frame encoder and the slice helpers
+// are one implementation — the payload a streamed frame carries equals
+// appendDense/appendSparse's bytes for the same feedback state.
+func TestStreamMatchesSliceCodec(t *testing.T) {
+	cfg := testCfg()
+	g, err := model.NewGradientsFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := CompressOptions{KeepFrac: 0.2}
+	enc := gradEncoder{opts: &opts}
+	ref := feedbackFor(tensorsOf(g))
+	var scratch compress.Sparse
+	for step := 0; step < 3; step++ {
+		fillGradients(g, uint64(step+20))
+		var want []byte
+		if step == 0 {
+			enc.opts = nil
+			want = appendDense(nil, tensorsOf(g))
+		} else {
+			enc.opts = &opts
+			want, _, _ = appendSparse(nil, tensorsOf(g), ref, opts, &scratch)
+		}
+		enc.prepare(g, step)
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		if err := enc.write(w, Frame{Type: FrameMerged, Step: uint32(step)}, 2); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		f, _, err := DecodeFrame(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(f.Body[4:], want) {
+			t.Fatalf("step %d: streamed payload differs from the slice codec's", step)
 		}
 	}
 }

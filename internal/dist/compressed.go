@@ -61,8 +61,8 @@ type Compressed struct {
 	Metrics *obs.Dist
 
 	fb      [][]*compress.Feedback // per replica slot, per tensor
+	views   []tensorViews          // per replica slot
 	scratch compress.Sparse
-	sel     []float32
 
 	wire, dense int64
 	steps       int64
@@ -72,8 +72,11 @@ type Compressed struct {
 func (c *Compressed) Reduce(local []*model.Gradients) (*model.Gradients, int, error) {
 	var stepWire, stepDense int64
 	warm := c.Opts.warm(int(c.steps))
+	for len(c.views) < len(local) {
+		c.views = append(c.views, tensorViews{})
+	}
 	for slot, g := range local {
-		tensors := tensorsOf(g)
+		tensors := c.views[slot].of(g)
 		for len(c.fb) <= slot {
 			c.fb = append(c.fb, feedbackFor(tensors))
 		}
@@ -85,12 +88,7 @@ func (c *Compressed) Reduce(local []*model.Gradients) (*model.Gradients, int, er
 			continue
 		}
 		for i, m := range tensors {
-			var s *compress.Sparse
-			if c.Opts.Threshold > 0 {
-				s = c.fb[slot][i].EncodeInto(&c.scratch, m, c.Opts.Threshold)
-			} else {
-				s = c.fb[slot][i].EncodeTopK(&c.scratch, m, c.Opts.keep())
-			}
+			s := c.Opts.selectPairs(c.fb[slot][i], &c.scratch, m)
 			// The replica's dense gradients become exactly what a wire
 			// transport would deliver: the kept pairs, zeros elsewhere.
 			s.MustDecode(m)

@@ -7,18 +7,25 @@ import (
 )
 
 // TestWriteFuzzCorpusSeeds regenerates the committed FuzzFrameDecode
-// corpus when -write-corpus is in the environment; normally it only
-// verifies every committed seed parses as the fuzzer will feed it.
+// and FuzzGradientDecode corpora when WRITE_FUZZ_CORPUS is set in the
+// environment; otherwise it skips.
 func TestWriteFuzzCorpusSeeds(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the committed seeds")
 	}
-	emit := func(name string, b []byte) {
+	write := func(target, name string, b []byte) {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
-		if err := os.WriteFile("testdata/fuzz/FuzzFrameDecode/"+name, []byte(body), 0o644); err != nil {
+		if err := os.MkdirAll("testdata/fuzz/"+target, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile("testdata/fuzz/"+target+"/"+name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for name, b := range gradSeeds() {
+		write("FuzzGradientDecode", name, b)
+	}
+	emit := func(name string, b []byte) { write("FuzzFrameDecode", name, b) }
 	emit("seed-hello", AppendFrame(nil, Frame{Type: FrameHello, Body: []byte{1, 2, 3, 4, 5, 6, 7, 8}}))
 	emit("seed-grads-dense", AppendFrame(nil, Frame{Type: FrameGrads, Step: 3, Body: []byte{0, 0, 0, 1, encDense}}))
 	emit("seed-merged-sparse", AppendFrame(nil, Frame{Type: FrameMerged, Step: 9, Body: []byte{0, 0, 0, 2, encSparse}}))

@@ -3,13 +3,13 @@ package dist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
 	"strconv"
 	"time"
 
-	"etalstm/internal/compress"
 	"etalstm/internal/model"
 	"etalstm/internal/obs"
 	"etalstm/internal/rtrace"
@@ -86,6 +86,7 @@ type coordWorker struct {
 	id   int
 	conn net.Conn
 	bw   *bufio.Writer
+	rd   *frameReader // owned by the reader goroutine
 	buf  *model.Gradients
 	ack  chan struct{}
 }
@@ -237,6 +238,7 @@ func (c *Coordinator) acceptWorkers() ([]*coordWorker, error) {
 		}
 		workers = append(workers, &coordWorker{
 			id: len(workers), conn: conn, bw: bufio.NewWriter(conn),
+			rd:  newFrameReader(bufio.NewReader(conn), buf),
 			buf: buf, ack: make(chan struct{}, 1),
 		})
 	}
@@ -257,16 +259,20 @@ func (c *Coordinator) acceptWorkers() ([]*coordWorker, error) {
 }
 
 // reader pumps one worker's frames into events, decoding gradient
-// payloads into the worker's buffer and waiting for the collector's
-// ack before each next read (see coordWorker).
+// payloads straight off the connection into the worker's buffer and
+// waiting for the collector's ack before each next read (see
+// coordWorker). A connection that merely ends is a disconnect; a
+// malformed gradient frame is also reported as the worker's fault.
 func (c *Coordinator) reader(w *coordWorker, events chan<- coordEvent) {
-	var scratch []byte
-	br := bufio.NewReader(w.conn)
 	for {
-		f, s, err := ReadFrame(br, scratch)
-		scratch = s
+		f, contribs, body, err := w.rd.next(FrameGrads, w.buf)
 		if err != nil {
-			events <- coordEvent{id: w.id, gone: true}
+			var se streamError
+			if f.Type == 0 || errors.As(err, &se) {
+				events <- coordEvent{id: w.id, gone: true}
+			} else {
+				events <- coordEvent{id: w.id, gone: true, err: fmt.Errorf("dist: worker %d: %w", w.id, err)}
+			}
 			return
 		}
 		switch f.Type {
@@ -274,16 +280,7 @@ func (c *Coordinator) reader(w *coordWorker, events chan<- coordEvent) {
 			events <- coordEvent{id: w.id, gone: true}
 			return
 		case FrameGrads:
-			if len(f.Body) < 4 {
-				events <- coordEvent{id: w.id, gone: true, err: fmt.Errorf("dist: worker %d: short gradient frame", w.id)}
-				return
-			}
-			contribs := int(binary.BigEndian.Uint32(f.Body))
-			if err := decodeGradients(f.Body[4:], w.buf); err != nil {
-				events <- coordEvent{id: w.id, gone: true, err: fmt.Errorf("dist: worker %d: %w", w.id, err)}
-				return
-			}
-			events <- coordEvent{id: w.id, step: f.Step, contribs: contribs, wire: int64(len(f.Body)),
+			events <- coordEvent{id: w.id, step: f.Step, contribs: contribs, wire: int64(body),
 				tid: f.TraceID, sid: f.SpanID}
 			select {
 			case <-w.ack:
@@ -321,15 +318,12 @@ func (c *Coordinator) mergeLoop(workers []*coordWorker) error {
 		live[w.id] = true
 	}
 
-	late, err := model.NewGradientsFor(c.cfg)
-	if err != nil {
-		return err
-	}
+	// late collects straggler contributions for the next merge; only a
+	// partial quorum ever needs it.
+	var late *model.Gradients
 	lateN := 0
-	var downFB []*compress.Feedback
-	var scratch compress.Sparse
-	var body, sendBuf []byte
-	denseTmpl := denseBytes(tensorsOf(late))
+	enc := gradEncoder{opts: c.opts.Compression}
+	denseTmpl := denseBytes(tensorsOf(workers[0].buf))
 
 	quorum := c.opts.Quorum
 	if quorum <= 0 || quorum > c.opts.ExpectWorkers {
@@ -398,6 +392,10 @@ func (c *Coordinator) mergeLoop(workers []*coordWorker) error {
 				case ev.step < step:
 					// A straggler's contribution for an already-admitted
 					// step: fold it into this one so no mass is lost.
+					if late == nil {
+						late = w.buf.Clone()
+						zeroGradients(late)
+					}
 					late.Add(w.buf)
 					lateN += ev.contribs
 					c.lateFolds++
@@ -465,31 +463,17 @@ func (c *Coordinator) mergeLoop(workers []*coordWorker) error {
 			sp.Attr("stale", "true")
 		}
 
-		// Encode once, broadcast the identical payload to every live
+		// Select once, broadcast the identical payload to every live
 		// worker — that is what keeps worker weights in lockstep.
-		body = body[:0]
-		body = binary.BigEndian.AppendUint32(body, uint32(total))
-		var payloadWire int64
-		if opt := c.opts.Compression; opt != nil && !opt.warm(int(step)) {
-			tensors := tensorsOf(merged)
-			if downFB == nil {
-				downFB = feedbackFor(tensors)
-			}
-			var wire int64
-			body, wire, _ = appendSparse(body, tensors, downFB, *opt, &scratch)
-			payloadWire = wire
-		} else {
-			body = appendDense(body, tensorsOf(merged))
-			payloadWire = denseTmpl
-		}
+		payloadWire, _ := enc.prepare(merged, int(step))
 		var flags byte
 		if sp.Sampled() {
 			flags |= FlagSampled
 		}
 		for _, w := range live2slice(byID, live) {
-			var werr error
-			if sendBuf, werr = writeFrame(w.bw, sendBuf, Frame{Type: FrameMerged, Step: step, Body: body,
-				TraceID: sp.TraceID(), SpanID: sp.SpanID(), Flags: flags}); werr == nil {
+			werr := enc.write(w.bw, Frame{Type: FrameMerged, Step: step,
+				TraceID: sp.TraceID(), SpanID: sp.SpanID(), Flags: flags}, total)
+			if werr == nil {
 				werr = w.bw.Flush()
 			}
 			if werr != nil {
@@ -564,19 +548,16 @@ type WorkerOptions struct {
 // tree all-reduce would run.
 type Worker struct {
 	conn  net.Conn
-	br    *bufio.Reader
+	bw    *bufio.Writer
+	rd    *frameReader
 	id    int
 	total int
 	cfg   model.Config
 	opts  WorkerOptions
 
-	step    uint32
-	recv    *model.Gradients
-	fb      []*compress.Feedback
-	scratch compress.Sparse
-	body    []byte
-	sendBuf []byte
-	readBuf []byte
+	step uint32
+	recv *model.Gradients
+	enc  gradEncoder
 
 	wire, dense int64
 	closed      bool
@@ -624,7 +605,7 @@ func Dial(addr string, cfg model.Config, opts WorkerOptions) (*Worker, error) {
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	br := bufio.NewReader(conn)
-	f, readBuf, err := ReadFrame(br, nil)
+	f, _, err := ReadFrame(br, nil)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: awaiting welcome: %w", err)
@@ -650,10 +631,11 @@ func Dial(addr string, cfg model.Config, opts WorkerOptions) (*Worker, error) {
 		return nil, err
 	}
 	return &Worker{
-		conn: conn, br: br, cfg: cfg, opts: opts,
+		conn: conn, bw: bufio.NewWriter(conn), rd: newFrameReader(br, recv),
+		cfg: cfg, opts: opts,
 		id:    int(binary.BigEndian.Uint32(f.Body[:4])),
 		total: int(binary.BigEndian.Uint32(f.Body[4:])),
-		recv:  recv, readBuf: readBuf,
+		recv:  recv, enc: gradEncoder{opts: opts.Compression},
 	}, nil
 }
 
@@ -707,59 +689,37 @@ func (w *Worker) Reduce(local []*model.Gradients) (*model.Gradients, int, error)
 	sp.Attr("worker", strconv.Itoa(w.id))
 	sp.Attr("step", strconv.Itoa(int(w.step)))
 	sum := TreeReduce(local)
-	w.body = w.body[:0]
-	w.body = binary.BigEndian.AppendUint32(w.body, uint32(len(local)))
-	tensors := tensorsOf(sum)
-	dense := denseBytes(tensors)
-	var upWire int64
-	if opt := w.opts.Compression; opt != nil && !opt.warm(int(w.step)) {
-		if w.fb == nil {
-			w.fb = feedbackFor(tensors)
-		}
-		var wire int64
-		w.body, wire, _ = appendSparse(w.body, tensors, w.fb, *opt, &w.scratch)
-		upWire = wire
-	} else {
-		w.body = appendDense(w.body, tensors)
-		upWire = dense
-	}
+	upWire, dense := w.enc.prepare(sum, int(w.step))
 	var flags byte
 	if sp.Sampled() {
 		flags |= FlagSampled
 	}
-	var err error
-	if w.sendBuf, err = writeFrame(w.conn, w.sendBuf, Frame{Type: FrameGrads, Step: w.step, Body: w.body,
-		TraceID: sp.TraceID(), SpanID: sp.SpanID(), Flags: flags}); err != nil {
+	err := w.enc.write(w.bw, Frame{Type: FrameGrads, Step: w.step,
+		TraceID: sp.TraceID(), SpanID: sp.SpanID(), Flags: flags}, len(local))
+	if err == nil {
+		err = w.bw.Flush()
+	}
+	if err != nil {
 		err = fmt.Errorf("dist: sending step %d: %w", w.step, err)
 		sp.FinishErr(err)
 		return nil, 0, err
 	}
 
-	f, readBuf, err := ReadFrame(w.br, w.readBuf)
-	w.readBuf = readBuf
-	if err != nil {
+	// The merged payload decodes straight into w.recv.
+	f, total, body, err := w.rd.next(FrameMerged, w.recv)
+	switch {
+	case err != nil && f.Type == FrameMerged:
+		// A malformed merged payload; err says how.
+	case err != nil:
 		err = fmt.Errorf("dist: awaiting merged step %d: %w", w.step, err)
-		sp.FinishErr(err)
-		return nil, 0, err
-	}
-	switch f.Type {
-	case FrameMerged:
-	case FrameError:
+	case f.Type == FrameError:
 		err = fmt.Errorf("dist: coordinator error: %s", f.Body)
-		sp.FinishErr(err)
-		return nil, 0, err
-	default:
+	case f.Type != FrameMerged:
 		err = fmt.Errorf("dist: unexpected frame type %d at step %d", f.Type, w.step)
-		sp.FinishErr(err)
-		return nil, 0, err
-	}
-	if f.Step != w.step {
+	case f.Step != w.step:
 		err = fmt.Errorf("dist: merged frame for step %d, expected %d", f.Step, w.step)
-		sp.FinishErr(err)
-		return nil, 0, err
 	}
-	if len(f.Body) < 4 {
-		err = fmt.Errorf("dist: short merged frame")
+	if err != nil {
 		sp.FinishErr(err)
 		return nil, 0, err
 	}
@@ -768,12 +728,7 @@ func (w *Worker) Reduce(local []*model.Gradients) (*model.Gradients, int, error)
 	if f.Traced() {
 		sp.Adopt(f.TraceID, f.SpanID, f.Sampled())
 	}
-	total := int(binary.BigEndian.Uint32(f.Body))
-	if err := decodeGradients(f.Body[4:], w.recv); err != nil {
-		sp.FinishErr(err)
-		return nil, 0, err
-	}
-	downWire := int64(len(f.Body) - 4)
+	downWire := int64(body - 4)
 	w.wire += upWire + downWire
 	w.dense += 2 * dense
 	ins := lazyDist(&w.opts.Metrics)
@@ -796,6 +751,6 @@ func (w *Worker) Close() error {
 		return nil
 	}
 	w.closed = true
-	writeFrame(w.conn, w.sendBuf, Frame{Type: FrameBye})
+	writeFrame(w.conn, nil, Frame{Type: FrameBye})
 	return w.conn.Close()
 }

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"encoding/binary"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -475,5 +477,33 @@ func TestCompressedSyncAccounting(t *testing.T) {
 	}
 	if c.Ratio() <= 1 {
 		t.Fatalf("compressed ratio %.2f, want > 1", c.Ratio())
+	}
+}
+
+// TestCoordinatorReportsMalformedGradients: a worker whose gradient
+// frame fails validation is dropped and its fault surfaces from Wait,
+// unlike a worker whose connection merely ends.
+func TestCoordinatorReportsMalformedGradients(t *testing.T) {
+	cfg := testCfg()
+	c := startTestCoordinator(t, cfg, CoordinatorOptions{ExpectWorkers: 1})
+	conn, err := net.Dial("tcp", c.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hello [8]byte
+	binary.BigEndian.PutUint64(hello[:], GeomSum(cfg))
+	if _, err := writeFrame(conn, nil, Frame{Type: FrameHello, Body: hello[:]}); err != nil {
+		t.Fatal(err)
+	}
+	if f, _, err := ReadFrame(conn, nil); err != nil || f.Type != FrameWelcome {
+		t.Fatalf("welcome: %+v %v", f, err)
+	}
+	// One contribution whose payload names an unknown encoding.
+	if _, err := conn.Write(gradFrame(2, 1, []byte{9})); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err == nil || !strings.Contains(err.Error(), "worker 0") || !strings.Contains(err.Error(), "encoding") {
+		t.Fatalf("want worker 0's encoding fault from Wait, got %v", err)
 	}
 }
