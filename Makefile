@@ -63,6 +63,8 @@ cover:
 	}; \
 	check ./internal/lstm 85; \
 	check ./internal/model 85; \
+	check ./internal/core 85; \
+	check ./internal/train 85; \
 	check ./internal/skip 90; \
 	check ./internal/serve 65; \
 	check ./internal/obs 85; \

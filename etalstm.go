@@ -370,22 +370,6 @@ func (t *Trainer) Analyze() Analysis {
 	return analyzeAt(t.inner.Net.Cfg, t.mode, sparsity, skipFrac)
 }
 
-// Footprint returns the modeled training memory footprint of cfg at
-// this trainer's measured operating point, split into the paper's
-// parameter / activation / intermediate categories.
-//
-// Deprecated: use Trainer.Analyze, which reports the footprint and the
-// DRAM traffic of the trainer's own network in one call, or the
-// package-level Analyze for arbitrary configurations.
-func (t *Trainer) Footprint(cfg Config) Footprint {
-	b := memplan.Footprint(cfg, t.inner.FootprintMode(), t.inner.FootprintParams())
-	return Footprint{
-		Parameter:    b.Parameter,
-		Activations:  b.Activations,
-		Intermediate: b.Intermediate,
-	}
-}
-
 // Footprint is a memory footprint split by the paper's categories
 // (bytes).
 type Footprint struct {
@@ -468,10 +452,8 @@ func analyzeAt(cfg Config, mode Mode, p1Sparsity, skipFrac float64) Analysis {
 }
 
 // Analyze models cfg under mode and returns both the DRAM traffic and
-// the memory footprint in one call — the single entry point behind the
-// deprecated DataMovement and FootprintFor wrappers, at the paper's
-// operating points (65 % P1 sparsity, geometry-derived skip fraction).
-// Use Trainer.Analyze for a trained run's measured operating point, and
+// the memory footprint in one call, at the paper's operating points
+// (65 % P1 sparsity, geometry-derived skip fraction). Use Trainer.Analyze for a trained run's measured operating point, and
 // PlanFor for what a memory budget does to the training loop itself.
 func Analyze(cfg Config, mode Mode) Analysis {
 	p := defaultOptParams(cfg)
@@ -494,21 +476,6 @@ type Plan = memplan.Placement
 func PlanFor(cfg Config, mode Mode, budget int64) Plan {
 	return memplan.Plan(cfg, memMode(mode), budget)
 }
-
-// DataMovement returns the modeled per-step DRAM traffic of cfg under
-// the given mode at the paper's operating points.
-//
-// Deprecated: use Analyze, which returns the traffic and the footprint
-// from one mode dispatch.
-func DataMovement(cfg Config, mode Mode) Movement { return Analyze(cfg, mode).Movement }
-
-// FootprintFor returns the modeled footprint of cfg under mode at the
-// paper's operating points (use Trainer.Footprint for a trained run's
-// measured point).
-//
-// Deprecated: use Analyze, which returns the footprint and the traffic
-// from one mode dispatch.
-func FootprintFor(cfg Config, mode Mode) Footprint { return Analyze(cfg, mode).Footprint }
 
 // SetWorkers sets the kernel-level parallelism: how many goroutines a
 // single tensor kernel (MatMul, element-wise ops) may fan out to
@@ -574,7 +541,7 @@ func Infer(net *Network, seqs [][][]float32) ([]InferResult, error) {
 }
 
 // State carries recurrent state across sequence chunks for truncated
-// BPTT (see Network.ForwardState / Network.ZeroState).
+// BPTT (see Network.ForwardCheckpointed / Network.ZeroState).
 type State = model.State
 
 // ForwardResult is one forward pass (see Network.Forward).

@@ -95,17 +95,25 @@ func TestMemoryBudgetInfeasibleSurfaced(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSurfaces pins the consolidated analysis API: the
-// deprecated wrappers agree with Analyze, and Trainer.Analyze reports
-// the trainer's measured operating point for its own network.
+// TestAnalyzeSurfaces pins the analysis API: Analyze echoes its inputs
+// and models a non-degenerate traffic and footprint for every mode, and
+// Trainer.Analyze reports the trainer's measured operating point for
+// its own network.
 func TestAnalyzeSurfaces(t *testing.T) {
-	bench, _ := BenchmarkByName("BABI")
-	a := Analyze(bench.Cfg, Combined)
-	if DataMovement(bench.Cfg, Combined) != a.Movement {
-		t.Fatal("DataMovement must shim onto Analyze")
-	}
-	if FootprintFor(bench.Cfg, Combined) != a.Footprint {
-		t.Fatal("FootprintFor must shim onto Analyze")
+	for _, name := range []string{"IMDB", "WMT", "WAYMO", "BABI"} {
+		bench, err := BenchmarkByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []Mode{Baseline, MS1, MS2, Combined} {
+			a := Analyze(bench.Cfg, mode)
+			if a.Cfg != bench.Cfg || a.Mode != mode {
+				t.Fatalf("%s/%v: Analysis must echo its inputs", name, mode)
+			}
+			if a.Movement.Total() <= 0 || a.Footprint.Total() <= 0 {
+				t.Errorf("%s/%v: degenerate analysis %+v", name, mode, a)
+			}
+		}
 	}
 
 	small, _ := BenchmarkByName("IMDB")
@@ -125,10 +133,5 @@ func TestAnalyzeSurfaces(t *testing.T) {
 	}
 	if ta.Movement.Total() >= base.Movement.Total() {
 		t.Fatal("measured combined movement must beat baseline")
-	}
-	// The deprecated per-cfg footprint agrees with the measured-point
-	// analysis when asked about the trainer's own network.
-	if tr.Footprint(s.Cfg) != ta.Footprint {
-		t.Fatal("Trainer.Footprint(own cfg) must match Trainer.Analyze")
 	}
 }

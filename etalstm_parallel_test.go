@@ -232,32 +232,6 @@ func TestClipOptions(t *testing.T) {
 	}
 }
 
-// TestAnalyzeMatchesDeprecatedWrappers keeps the deprecated DataMovement
-// and FootprintFor wrappers exactly consistent with Analyze.
-func TestAnalyzeMatchesDeprecatedWrappers(t *testing.T) {
-	for _, name := range []string{"IMDB", "WMT", "WAYMO"} {
-		bench, err := BenchmarkByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []Mode{Baseline, MS1, MS2, Combined} {
-			a := Analyze(bench.Cfg, mode)
-			if a.Cfg != bench.Cfg || a.Mode != mode {
-				t.Fatalf("%s/%v: Analysis must echo its inputs", name, mode)
-			}
-			if got := DataMovement(bench.Cfg, mode); got != a.Movement {
-				t.Errorf("%s/%v: DataMovement diverges from Analyze", name, mode)
-			}
-			if got := FootprintFor(bench.Cfg, mode); got != a.Footprint {
-				t.Errorf("%s/%v: FootprintFor diverges from Analyze", name, mode)
-			}
-			if a.Movement.Total() <= 0 || a.Footprint.Total() <= 0 {
-				t.Errorf("%s/%v: degenerate analysis %+v", name, mode, a)
-			}
-		}
-	}
-}
-
 // TestKernelWorkers exercises the package-level kernel parallelism knob.
 func TestKernelWorkers(t *testing.T) {
 	orig := Workers()

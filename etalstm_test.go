@@ -97,8 +97,8 @@ func TestTrainerFootprintUsesMeasuredPoint(t *testing.T) {
 	if _, err := tr.Run(context.Background(), small.Provider(2, 9), 5); err != nil {
 		t.Fatal(err)
 	}
-	fp := tr.Footprint(bench.Cfg)
-	base := Analyze(bench.Cfg, Baseline).Footprint
+	fp := tr.Analyze().Footprint
+	base := Analyze(small.Cfg, Baseline).Footprint
 	if fp.Total() >= base.Total() {
 		t.Fatal("measured combined footprint must beat baseline")
 	}

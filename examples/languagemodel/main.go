@@ -1,7 +1,7 @@
 // Stateful language modeling (the paper's PTB workload shape): trains a
 // next-token model over a corpus far longer than the unroll window by
 // carrying the recurrent state across chunks — truncated BPTT with
-// Network.ForwardState. This is the manual training loop; compare
+// Network.ForwardCheckpointed (nil boundaries: full storage). This is the manual training loop; compare
 // examples/quickstart for the managed Trainer.
 package main
 
@@ -42,7 +42,7 @@ func main() {
 		var total float64
 		for c := 0; c < chunks; c++ {
 			xs, targets := chunkBatch(tokens, table, c)
-			res, next, err := net.ForwardState(xs, targets, nil, state)
+			res, next, err := net.ForwardCheckpointed(xs, targets, nil, state, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -35,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fp := trainer.Footprint(bench.Cfg)
+		fp := etalstm.Analyze(bench.Cfg, mode).Footprint
 		fmt.Printf("%-12s %10.4f %9.1f%% %14.2f\n",
 			mode, loss, 100*acc, float64(fp.Total())/1e9)
 	}

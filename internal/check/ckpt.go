@@ -11,11 +11,11 @@ import (
 	"etalstm/internal/train"
 )
 
-// ckptBatchGrads is batchGrads for the checkpointed FW/BP pair. MS1's
-// pruning (and the F16 storage rounding) moves into the OnP1 hook: the
-// hook sees each P1 set exactly once — from the last stored segment
-// before BP and from each replayed segment during BP — so BP consumes
-// the same transformed products the full-storage path does.
+// ckptBatchGrads is batchGrads under a checkpoint plan. MS1's pruning
+// (and the F16 storage rounding) moves into the OnP1 hook: the hook
+// sees each P1 set exactly once — from the last stored segment before
+// BP and from each replayed segment during BP — so BP consumes the same
+// transformed products batchGrads applies to a full-storage result.
 func ckptBatchGrads(net *model.Network, b train.Batch, policy model.StoragePolicy, p PathSpec) (*model.Gradients, float64, error) {
 	res, _, err := net.ForwardCheckpointed(b.Inputs, b.Targets, policy, nil, p.Boundaries)
 	if err != nil {

@@ -5,8 +5,8 @@ import (
 	"math"
 	"sync"
 
+	"etalstm/internal/dist"
 	"etalstm/internal/model"
-	"etalstm/internal/parallel"
 	"etalstm/internal/skip"
 	"etalstm/internal/tensor"
 	"etalstm/internal/train"
@@ -59,9 +59,11 @@ type PathSpec struct {
 	// convergence-aware scaling. The plan's base store must match Store.
 	Plan *skip.Plan
 	// Boundaries, when it names more than one segment, runs the batch
-	// through the checkpointed FW/BP pair (ForwardCheckpointed /
-	// BackwardCheckpointed) with these checkpoint columns instead of the
-	// full-storage pair. nil or a single [0] runs full storage.
+	// under that checkpoint plan with the storage transforms applied
+	// through BackwardOpts.OnP1 (ckptBatchGrads). nil or a single [0]
+	// runs full storage with the transforms applied to the stored P1
+	// sets between FW and BP (batchGrads) — the reference the hook is
+	// compared against.
 	Boundaries []int
 	// Sync, when non-nil, merges each group's gradients through this
 	// transport instead of the direct tree all-reduce, and the reducer
@@ -164,7 +166,7 @@ func RunPath(s *Scenario, p PathSpec, groupSize int) (*PathResult, error) {
 			}
 			merged, contribs = m, n
 		} else {
-			merged = parallel.TreeReduce(grads)
+			merged = dist.TreeReduce(grads)
 		}
 		res.Grads = merged.Clone()
 		red.Apply(net, merged, contribs)

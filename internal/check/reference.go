@@ -220,7 +220,7 @@ func grid(layers, seqLen int) [][]*mat64 {
 	return g
 }
 
-// computeLoss mirrors model.Network.computeLoss in float64: the same
+// computeLoss mirrors the model's loss evaluation in float64: the same
 // three loss topologies, the same masking, the same normalization.
 func (r *Ref) computeLoss(st *refState, classes [][]int, regress []*mat64) error {
 	cfg := r.Cfg

@@ -64,8 +64,11 @@ func TestBudgetedTrainingBitwiseSerial(t *testing.T) {
 						e, statsF[e].PruneStats, statsB[e].PruneStats)
 				}
 			}
-			if statsF[0].PeakStoredBytes != 0 || statsF[0].RecomputedCells != 0 {
-				t.Fatal("full-storage trainer must report zero checkpoint stats")
+			// Full storage is the one-segment plan: it reports the measured
+			// peak the planner models for it, and recomputes nothing.
+			if statsF[0].PeakStoredBytes != full.Placement().FullPeak || statsF[0].RecomputedCells != 0 {
+				t.Fatalf("full-storage trainer reported peak %d B / %d recomputed cells, want %d B / 0",
+					statsF[0].PeakStoredBytes, statsF[0].RecomputedCells, full.Placement().FullPeak)
 			}
 			last := statsB[len(statsB)-1]
 			if last.RecomputedCells == 0 {

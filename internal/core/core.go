@@ -75,10 +75,10 @@ type Config struct {
 
 	// MemoryBudget caps the stored activation bytes of one FW+BP pass
 	// (per replica). 0 (or a budget the full-storage peak already fits)
-	// trains with classic full-storage BPTT; otherwise memplan.Plan
-	// picks checkpoint columns and the trainer runs the checkpointed
-	// FW/BP pair, recomputing segments during BP. Gradients and losses
-	// are bitwise identical either way.
+	// trains with classic full-storage BPTT, the one-segment plan;
+	// otherwise memplan.Plan picks checkpoint columns and BP recomputes
+	// the segments before the last. Gradients and losses are bitwise
+	// identical either way.
 	MemoryBudget int64
 }
 
@@ -101,9 +101,9 @@ type Stats struct {
 	// Wall is the epoch's wall-clock duration.
 	Wall time.Duration
 	// PeakStoredBytes is the measured peak of stored activation bytes of
-	// the epoch's worst batch (0 when training runs full storage);
-	// RecomputedCells counts FW cells replayed during BP across the
-	// epoch (checkpointed BPTT only).
+	// the epoch's worst batch, under every plan; RecomputedCells counts
+	// FW cells replayed during BP across the epoch (0 under full
+	// storage).
 	PeakStoredBytes int64
 	RecomputedCells int
 }
@@ -273,40 +273,34 @@ func (tr *Trainer) planFor(epoch int) *skip.Plan {
 }
 
 // batchFn builds the per-minibatch FW+BP closure for one epoch: run
-// forward under the epoch's storage policy, apply MS1's near-zero
-// pruning, backpropagate (collecting calibration magnitudes when
+// forward under the epoch's storage policy and checkpoint plan,
+// backpropagate with MS1's near-zero pruning applied to every P1 set
+// through the OnP1 hook (collecting calibration magnitudes when
 // requested), and apply MS2's convergence-aware scaling. The same
 // closure drives both the serial loop and the data-parallel engine, so
 // the two paths share every floating-point operation.
-//
-// When boundaries spans more than one segment the closure runs the
-// checkpointed FW/BP pair instead of the full-storage one. MS1's
-// pruning then happens inside the OnP1 hook — once per P1 set whether
-// it was produced by the main FW sweep or regenerated during BP — so
-// the compressed store sees the identical pruned products on both
-// paths.
 func (tr *Trainer) batchFn(epoch int, plan *skip.Plan, policy model.StoragePolicy, calibrating bool, boundaries []int) parallel.BatchFn {
-	checkpointed := len(boundaries) > 1
 	return func(net *model.Network, batch train.Batch, b int) (parallel.BatchResult, error) {
 		var out parallel.BatchResult
-		pcfg := reorder.Config{Threshold: tr.Cfg.PruneThreshold}
-		// pruneP1 applies MS1's near-zero pruning (and, under StoreF16,
-		// the binary16 storage rounding of the survivors) to one P1 set —
-		// the single transformation both storage paths run, so the
-		// full-storage and checkpointed trainers see identical products.
-		pruneP1 := func(p1 *lstm.P1) {
-			out.Prune = out.Prune.Add(reorder.PruneInPlace(p1, pcfg))
-			if tr.Cfg.StoreF16 {
-				for _, m := range p1.Matrices() {
-					tensor.QuantizeF16(m)
-				}
-			}
-		}
-
 		grads := net.NewGradients()
 		opts := model.BackwardOpts{
 			SparseBP: tr.Cfg.SparseBackward && tr.Cfg.EnableMS1,
 			TopK:     tr.Cfg.BackwardTopK,
+		}
+		if tr.Cfg.EnableMS1 {
+			// MS1's pruning (and, under StoreF16, the binary16 storage
+			// rounding of the survivors): the approximation the
+			// compressed store introduces, applied once per P1 set
+			// whether the main FW sweep stored it or BP regenerated it.
+			pcfg := reorder.Config{Threshold: tr.Cfg.PruneThreshold}
+			opts.OnP1 = func(_, _ int, p1 *lstm.P1) {
+				out.Prune = out.Prune.Add(reorder.PruneInPlace(p1, pcfg))
+				if tr.Cfg.StoreF16 {
+					for _, m := range p1.Matrices() {
+						tensor.QuantizeF16(m)
+					}
+				}
+			}
 		}
 		if calibrating {
 			cfg := net.Cfg
@@ -319,53 +313,20 @@ func (tr *Trainer) batchFn(epoch int, plan *skip.Plan, policy model.StoragePolic
 			}
 		}
 
-		if checkpointed {
-			if tr.Cfg.EnableMS1 {
-				opts.OnP1 = func(l, t int, p1 *lstm.P1) {
-					pruneP1(p1)
-				}
-			}
-			res, _, err := net.ForwardCheckpointed(batch.Inputs, batch.Targets, policy, nil, boundaries)
-			if err != nil {
-				return out, fmt.Errorf("core: epoch %d batch %d forward: %w", epoch, b, err)
-			}
-			if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
-				return out, fmt.Errorf("core: epoch %d batch %d: non-finite loss %v (diverged; lower the learning rate)",
-					epoch, b, res.Loss)
-			}
-			out.Loss = res.Loss
-			if err := net.BackwardCheckpointed(res, policy, grads, opts); err != nil {
-				return out, fmt.Errorf("core: epoch %d batch %d backward: %w", epoch, b, err)
-			}
-			out.PeakStored = res.PeakStoredBytes()
-			out.Recomputed = res.RecomputedCells()
-		} else {
-			res, err := net.Forward(batch.Inputs, batch.Targets, policy)
-			if err != nil {
-				return out, fmt.Errorf("core: epoch %d batch %d forward: %w", epoch, b, err)
-			}
-			if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
-				return out, fmt.Errorf("core: epoch %d batch %d: non-finite loss %v (diverged; lower the learning rate)",
-					epoch, b, res.Loss)
-			}
-			out.Loss = res.Loss
-
-			if tr.Cfg.EnableMS1 {
-				// MS1's pruning: the approximation the compressed store
-				// introduces, applied where the compression module would.
-				for l := range res.P1 {
-					for t := range res.P1[l] {
-						if p1 := res.P1[l][t]; p1 != nil {
-							pruneP1(p1)
-						}
-					}
-				}
-			}
-
-			if err := net.Backward(res, policy, grads, opts); err != nil {
-				return out, fmt.Errorf("core: epoch %d batch %d backward: %w", epoch, b, err)
-			}
+		res, _, err := net.ForwardCheckpointed(batch.Inputs, batch.Targets, policy, nil, boundaries)
+		if err != nil {
+			return out, fmt.Errorf("core: epoch %d batch %d forward: %w", epoch, b, err)
 		}
+		if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
+			return out, fmt.Errorf("core: epoch %d batch %d: non-finite loss %v (diverged; lower the learning rate)",
+				epoch, b, res.Loss)
+		}
+		out.Loss = res.Loss
+		if err := net.BackwardCheckpointed(res, policy, grads, opts); err != nil {
+			return out, fmt.Errorf("core: epoch %d batch %d backward: %w", epoch, b, err)
+		}
+		out.PeakStored = res.PeakStoredBytes()
+		out.Recomputed = res.RecomputedCells()
 
 		if plan.SkippedFrac() > 0 {
 			if err := plan.ApplyScaling(grads); err != nil {
@@ -508,12 +469,10 @@ func (tr *Trainer) RunEpoch(ctx context.Context, p train.Provider, epoch int) (S
 		ins.SparseBPDensity.Set(1 - st.PruneStats.Frac())
 	}
 	ins.MS2SkipRatio.Set(st.MeasuredSkipFrac())
-	if !placement.FullStorage() {
-		ins.CkptColumns.Set(float64(len(placement.Boundaries)))
-		ins.CkptBytes.Set(float64(placement.CheckpointBytes))
-		ins.PeakStored.Set(float64(st.PeakStoredBytes))
-		ins.RecomputeRatio.Set(st.RecomputeRatio())
-	}
+	ins.CkptColumns.Set(float64(len(placement.Boundaries)))
+	ins.CkptBytes.Set(float64(placement.CheckpointBytes))
+	ins.PeakStored.Set(float64(st.PeakStoredBytes))
+	ins.RecomputeRatio.Set(st.RecomputeRatio())
 	if tr.lastPredOK {
 		ins.MS2PredLossError.Set(math.Abs(tr.lastPred - st.MeanLoss))
 		tr.lastPredOK = false

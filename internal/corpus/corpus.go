@@ -130,9 +130,7 @@ func (c *Corpus) Generate(net *model.Network, prime []byte, n int) ([]byte, erro
 			}
 			copy(xs[t].Row(0), c.emb.Row(int(tok)))
 		}
-		res, next, err := net.ForwardState(xs, &model.Targets{
-			Classes: allMasked(cfg.SeqLen, 1),
-		}, nil, state)
+		res, next, err := net.ForwardCheckpointed(xs, nil, model.InferencePolicy(), state, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -141,10 +139,7 @@ func (c *Corpus) Generate(net *model.Network, prime []byte, n int) ([]byte, erro
 		if last < 0 {
 			last = 0
 		}
-		logits := res.Logits[last]
-		if logits == nil {
-			return 0, fmt.Errorf("corpus: no logits at step %d", last)
-		}
+		logits := net.Logits(nil, res.H[cfg.Layers-1][last])
 		return byte(model.Argmax(logits)[0]), nil
 	}
 	for _, b := range prime {
@@ -169,18 +164,4 @@ func (c *Corpus) Generate(net *model.Network, prime []byte, n int) ([]byte, erro
 		window = window[:0]
 	}
 	return out, nil
-}
-
-// allMasked builds class targets that mask every position (loss is
-// evaluated but contributes nothing; Generate only needs the logits).
-func allMasked(seqLen, batch int) [][]int {
-	out := make([][]int, seqLen)
-	for t := range out {
-		row := make([]int, batch)
-		for i := range row {
-			row[i] = -1
-		}
-		out[t] = row
-	}
-	return out
 }

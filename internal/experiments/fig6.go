@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"etalstm/internal/core"
 	"etalstm/internal/lstm"
 	"etalstm/internal/model"
 	"etalstm/internal/rng"
@@ -23,7 +25,7 @@ func Fig6(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &train.Trainer{Net: net, Opt: &train.Adam{LR: 0.01}, Clip: 5}
+	tr := core.New(net, &train.Adam{LR: 0.01}, 5, core.Config{})
 
 	rep := &Report{
 		ID: "fig6", Title: "Cumulative |value| distribution: FW intermediates vs BP-EW-P1 results",
@@ -42,7 +44,7 @@ func Fig6(opts Options) (*Report, error) {
 			rawAt01 = append(rawAt01, raw.At(0.1))
 			p1At01 = append(p1At01, p1.At(0.1))
 		}
-		if _, err := tr.RunEpoch(prov, e); err != nil {
+		if _, err := tr.RunEpoch(context.Background(), prov, e); err != nil {
 			return nil, err
 		}
 	}

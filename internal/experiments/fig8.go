@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"etalstm/internal/core"
 	"etalstm/internal/lstm"
 	"etalstm/internal/model"
 	"etalstm/internal/rng"
@@ -61,8 +63,8 @@ func fig8Series(name string, opts Options) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &train.Trainer{Net: net, Opt: &train.Adam{LR: 0.01}, Clip: 5}
-	if _, err := tr.Run(prov, epochs); err != nil {
+	tr := core.New(net, &train.Adam{LR: 0.01}, 5, core.Config{})
+	if _, err := tr.Run(context.Background(), prov, epochs); err != nil {
 		return nil, err
 	}
 

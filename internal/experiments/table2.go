@@ -92,20 +92,21 @@ func table2BLEU(net *model.Network, eval train.Provider) (float64, error) {
 	var cands, refs [][]int
 	for b := 0; b < eval.NumBatches(); b++ {
 		batch := eval.Batch(b)
-		res, err := net.Forward(batch.Inputs, batch.Targets, nil)
+		res, err := net.Forward(batch.Inputs, nil, model.InferencePolicy())
 		if err != nil {
 			return 0, err
 		}
 		seqLen := len(batch.Inputs)
+		pred := make([][]int, seqLen)
+		for t := range pred {
+			pred[t] = model.Argmax(net.Logits(nil, res.H[net.Cfg.Layers-1][t]))
+		}
 		batchSize := batch.Inputs[0].Rows
 		for i := 0; i < batchSize; i++ {
 			cand := make([]int, 0, seqLen)
 			ref := make([]int, 0, seqLen)
 			for t := 0; t < seqLen; t++ {
-				if res.Logits[t] == nil {
-					continue
-				}
-				cand = append(cand, model.Argmax(res.Logits[t])[i])
+				cand = append(cand, pred[t][i])
 				ref = append(ref, batch.Targets.Classes[t][i])
 			}
 			cands = append(cands, cand)

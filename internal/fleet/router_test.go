@@ -133,7 +133,7 @@ func testRouter(t testing.TB, opts Options, replicas ...*fakeReplica) *Router {
 
 func postInferJSON(t testing.TB, client *http.Client, target string, session string, k int) int {
 	t.Helper()
-	body := fmt.Sprintf(`{"inputs":[[0.1,0.2,0.3,%d.5]]`, k%7)
+	body := fmt.Sprintf(`{"inputs":[[0.1,0.2,0.3,%d.5]]`, k)
 	if session != "" {
 		body += fmt.Sprintf(`,"session":%q`, session)
 	}
@@ -190,7 +190,10 @@ func TestRouterStickyRouting(t *testing.T) {
 }
 
 // TestRouterStatelessSpread: session-less requests spread over the
-// fleet by body digest with a load tiebreak.
+// fleet by body digest with a load tiebreak. Every body is distinct:
+// requests here run one at a time, so the load tiebreak never fires and
+// the digests alone must spread — identical bodies keep to one replica
+// by design.
 func TestRouterStatelessSpread(t *testing.T) {
 	fakes := []*fakeReplica{newFakeReplica(t, 0, 0), newFakeReplica(t, 0, 0), newFakeReplica(t, 0, 0)}
 	rt := testRouter(t, Options{}, fakes...)

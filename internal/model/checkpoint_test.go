@@ -67,10 +67,10 @@ func gradsEq(t *testing.T, a, b *Gradients) {
 	}
 }
 
-// runFull runs the full-storage FW+BP pair on a fresh clone.
+// runFull runs the full-storage (one-segment) FW+BP pair on a fresh clone.
 func runFull(t *testing.T, n *Network, xs []*tensor.Matrix, tg *Targets, policy StoragePolicy, state *State) (*Gradients, *ForwardResult) {
 	t.Helper()
-	res, _, err := n.ForwardState(xs, tg, policy, state)
+	res, _, err := n.ForwardCheckpointed(xs, tg, policy, state, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func runFull(t *testing.T, n *Network, xs []*tensor.Matrix, tg *Targets, policy 
 	return grads, snap
 }
 
-func runCkpt(t *testing.T, n *Network, xs []*tensor.Matrix, tg *Targets, policy StoragePolicy, state *State, boundaries []int) (*Gradients, *CheckpointedResult) {
+func runCkpt(t *testing.T, n *Network, xs []*tensor.Matrix, tg *Targets, policy StoragePolicy, state *State, boundaries []int) (*Gradients, *ForwardResult) {
 	t.Helper()
 	res, _, err := n.ForwardCheckpointed(xs, tg, policy, state, boundaries)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestCheckpointedStateCarry(t *testing.T) {
 	tg := ckptTargets(cfg, r)
 
 	// Produce a carried-in state with a warmup chunk.
-	_, state, err := base.Clone().ForwardState(warm, nil, nil, nil)
+	_, state, err := base.Clone().ForwardCheckpointed(warm, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestCheckpointedOutStateMatchesFull(t *testing.T) {
 	}
 	xs := makeInputs(cfg, r)
 	tg := ckptTargets(cfg, r)
-	_, wantOut, err := base.Clone().ForwardState(xs, tg, nil, nil)
+	_, wantOut, err := base.Clone().ForwardCheckpointed(xs, tg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,21 +271,28 @@ func TestCheckpointedTrackerBalances(t *testing.T) {
 	}
 	xs := makeInputs(cfg, r)
 	tg := ckptTargets(cfg, r)
-	res, _, err := n.ForwardCheckpointed(xs, tg, nil, nil, []int{0, 2, 4, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PeakStoredBytes() <= 0 {
-		t.Fatal("peak stored bytes should be positive after FW")
-	}
-	if err := n.BackwardCheckpointed(res, nil, n.NewGradients(), BackwardOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if res.tracker.cur != 0 {
-		t.Fatalf("tracker should balance to zero after BP, got %d", res.tracker.cur)
-	}
-	if res.RecomputedCells() != cfg.Layers*6 {
-		t.Fatalf("recomputed cells: got %d, want %d", res.RecomputedCells(), cfg.Layers*6)
+	// Full storage (the one-segment plan) recomputes nothing; four
+	// segments replay the first three (6 steps).
+	for _, c := range []struct {
+		boundaries []int
+		recomputed int
+	}{{nil, 0}, {[]int{0, 2, 4, 6}, cfg.Layers * 6}} {
+		res, _, err := n.ForwardCheckpointed(xs, tg, nil, nil, c.boundaries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PeakStoredBytes() <= 0 {
+			t.Fatal("peak stored bytes should be positive after FW")
+		}
+		if err := n.BackwardCheckpointed(res, nil, n.NewGradients(), BackwardOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		if res.tracker.cur != 0 {
+			t.Fatalf("%v: tracker should balance to zero after BP, got %d", c.boundaries, res.tracker.cur)
+		}
+		if res.RecomputedCells() != c.recomputed {
+			t.Fatalf("%v: recomputed cells: got %d, want %d", c.boundaries, res.RecomputedCells(), c.recomputed)
+		}
 	}
 }
 

@@ -109,3 +109,10 @@ func BaselinePolicy() StoragePolicy {
 func P1Policy() StoragePolicy {
 	return PolicyFunc(func(int, int) CellStore { return StoreP1 })
 }
+
+// InferencePolicy stores nothing per cell: the forward pass keeps only
+// the hidden outputs, for callers that never run BP (evaluation,
+// generation).
+func InferencePolicy() StoragePolicy {
+	return PolicyFunc(func(int, int) CellStore { return StoreNone })
+}

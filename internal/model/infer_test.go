@@ -30,7 +30,7 @@ func randomSeq(r *rng.RNG, steps, width int) [][]float32 {
 }
 
 // referenceInfer runs one request through the training-path forward
-// (ForwardState on a Batch=1 clone) and projects the final hidden row —
+// (ForwardCheckpointed on a Batch=1 clone) and projects the final hidden row —
 // the oracle the packed batched sweep must match bitwise.
 func referenceInfer(t *testing.T, net *Network, seq InferSeq) (output []float32, st *State) {
 	t.Helper()
@@ -49,7 +49,7 @@ func referenceInfer(t *testing.T, net *Network, seq InferSeq) (output []float32,
 			in.S = append(in.S, tensor.NewFromData(1, ref.Cfg.Hidden, append([]float32(nil), seq.State.S[l]...)))
 		}
 	}
-	res, out, err := ref.ForwardState(xs, nil, nil, in)
+	res, out, err := ref.ForwardCheckpointed(xs, nil, nil, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

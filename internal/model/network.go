@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"etalstm/internal/lstm"
-	"etalstm/internal/obs"
 	"etalstm/internal/rng"
 	"etalstm/internal/tensor"
 )
@@ -30,8 +29,8 @@ type Network struct {
 }
 
 // Workspace returns the network's scratch arena, creating it on first
-// use. Every ForwardState draws its per-sequence buffers from it and
-// Backward returns them as the BP sweep consumes them, so steady-state
+// use. Every FW pass draws its per-sequence buffers from it and the BP
+// pass returns them as the reverse sweep consumes them, so steady-state
 // training reuses the same storage batch after batch. A Clone starts
 // with a fresh workspace of its own — that per-replica confinement is
 // what keeps the data-parallel engine race-free.
@@ -131,224 +130,6 @@ func (n *Network) ParamBytes() int64 {
 type Targets struct {
 	Classes [][]int          // [t][batch]
 	Regress []*tensor.Matrix // [t], each batch×OutSize
-}
-
-// ForwardResult holds everything one FW pass produced: outputs, the
-// per-cell stored state (raw caches, P1 products or nothing, per the
-// policy), the losses, and the output-gradient seeds for BP.
-type ForwardResult struct {
-	// H[l][t] is layer l's hidden output at timestamp t. These are the
-	// activations (plus the external inputs) that every flow stores.
-	H [][]*tensor.Matrix
-	// Inputs are the external x_t fed to layer 0.
-	Inputs []*tensor.Matrix
-	// Cache[l][t] is non-nil iff the policy said StoreRaw.
-	Cache [][]*lstm.FWCache
-	// P1[l][t] is non-nil iff the policy said StoreP1.
-	P1 [][]*lstm.P1
-
-	// Loss is the scalar training loss of the minibatch.
-	Loss float64
-	// PerStepLoss[t] is the loss contribution of timestamp t (single
-	// loss: all mass at SeqLen-1). MS2's Eq. 4 predictor consumes this.
-	PerStepLoss []float64
-	// Logits[t] is the projected output at t (nil where the loss kind
-	// does not evaluate that timestamp).
-	Logits []*tensor.Matrix
-
-	dLogits []*tensor.Matrix
-	// initState is the carried-in state (nil for zero start); Backward
-	// needs it as h_{t-1} for the first timestamp's P1 cells.
-	initState *State
-}
-
-// State carries the recurrent state (h, s per layer) across sequence
-// chunks — truncated BPTT, the standard training flow for language
-// modeling where documents are longer than the unroll window.
-type State struct {
-	H, S []*tensor.Matrix // per layer, batch×hidden
-}
-
-// ZeroState returns a fresh all-zero state for n.
-func (n *Network) ZeroState() *State {
-	st := &State{}
-	for l := 0; l < n.Cfg.Layers; l++ {
-		st.H = append(st.H, tensor.New(n.Cfg.Batch, n.Cfg.Hidden))
-		st.S = append(st.S, tensor.New(n.Cfg.Batch, n.Cfg.Hidden))
-	}
-	return st
-}
-
-// Forward runs the full FW phase over a minibatch from a zero initial
-// state. xs has SeqLen entries of shape batch×InputSize. policy selects
-// per-cell storage; targets may be nil to run inference only (no loss,
-// no BP seeds).
-func (n *Network) Forward(xs []*tensor.Matrix, targets *Targets, policy StoragePolicy) (*ForwardResult, error) {
-	res, _, err := n.ForwardState(xs, targets, policy, nil)
-	return res, err
-}
-
-// ForwardState runs the FW phase starting from state (nil = zero) and
-// returns the carried-out state for the next chunk. Gradients do not
-// flow across the chunk boundary (truncated BPTT).
-func (n *Network) ForwardState(xs []*tensor.Matrix, targets *Targets, policy StoragePolicy, state *State) (*ForwardResult, *State, error) {
-	cfg := n.Cfg
-	if len(xs) != cfg.SeqLen {
-		return nil, nil, fmt.Errorf("model: got %d input steps, want %d", len(xs), cfg.SeqLen)
-	}
-	for t, x := range xs {
-		if x.Rows != cfg.Batch || x.Cols != cfg.InputSize {
-			return nil, nil, fmt.Errorf("model: input %d is %dx%d, want %dx%d",
-				t, x.Rows, x.Cols, cfg.Batch, cfg.InputSize)
-		}
-	}
-	if state != nil && (len(state.H) != cfg.Layers || len(state.S) != cfg.Layers) {
-		return nil, nil, fmt.Errorf("model: state has %d/%d layers, want %d",
-			len(state.H), len(state.S), cfg.Layers)
-	}
-	if policy == nil {
-		policy = BaselinePolicy()
-	}
-
-	res := &ForwardResult{
-		Inputs:      xs,
-		H:           make([][]*tensor.Matrix, cfg.Layers),
-		Cache:       make([][]*lstm.FWCache, cfg.Layers),
-		P1:          make([][]*lstm.P1, cfg.Layers),
-		PerStepLoss: make([]float64, cfg.SeqLen),
-		Logits:      make([]*tensor.Matrix, cfg.SeqLen),
-		dLogits:     make([]*tensor.Matrix, cfg.SeqLen),
-		initState:   state,
-	}
-	for l := 0; l < cfg.Layers; l++ {
-		res.H[l] = make([]*tensor.Matrix, cfg.SeqLen)
-		res.Cache[l] = make([]*lstm.FWCache, cfg.SeqLen)
-		res.P1[l] = make([]*lstm.P1, cfg.SeqLen)
-	}
-
-	ws := n.Workspace()
-	out := &State{H: make([]*tensor.Matrix, cfg.Layers), S: make([]*tensor.Matrix, cfg.Layers)}
-	for l := 0; l < cfg.Layers; l++ {
-		h := ws.Get(cfg.Batch, cfg.Hidden)
-		s := ws.Get(cfg.Batch, cfg.Hidden)
-		if state != nil {
-			// Truncated BPTT: copy so BP cannot reach into the previous
-			// chunk and the caller's state stays immutable.
-			h.CopyFrom(state.H[l])
-			s.CopyFrom(state.S[l])
-		}
-		// sRetained marks that the current s is held by a StoreRaw cache
-		// (as its S, or as the next cell's SPrev); such buffers stay live
-		// until BP releases the cache, so the FW loop must not recycle
-		// them.
-		sRetained := false
-		for t := 0; t < cfg.SeqLen; t++ {
-			x := xs[t]
-			if l > 0 {
-				x = res.H[l-1][t]
-			}
-			oldH, oldS := h, s
-			store := policy.Store(l, t)
-			switch store {
-			case StoreRaw:
-				var cache *lstm.FWCache
-				h, s, cache = lstm.Forward(ws, n.Layer[l], x, h, s)
-				res.Cache[l][t] = cache
-			case StoreP1:
-				var p1 *lstm.P1
-				h, s, p1 = lstm.ForwardWithP1(ws, n.Layer[l], x, h, s)
-				res.P1[l][t] = p1
-			case StoreNone:
-				h, s = lstm.InferenceForward(ws, n.Layer[l], x, h, s)
-			}
-			res.H[l][t] = h
-			if store == StoreRaw {
-				// The new cache retains oldS as SPrev (and, at t == 0,
-				// oldH as HPrev); both stay live until BP consumes the
-				// cell.
-				sRetained = true
-			} else {
-				// MS1/inference cells consume their inputs on the spot:
-				// the previous cell state dies once this cell has run
-				// (unless a raw cache still holds it), and the
-				// initial-h copy dies after the first cell.
-				if !sRetained {
-					ws.Put(oldS)
-				}
-				sRetained = false
-				if t == 0 {
-					ws.Put(oldH)
-				}
-			}
-		}
-		out.H[l] = h.Clone()
-		out.S[l] = s.Clone()
-		if !sRetained {
-			ws.Put(s)
-		}
-	}
-
-	if targets != nil {
-		if err := n.computeLoss(res, targets); err != nil {
-			return nil, nil, err
-		}
-	}
-	return res, out, nil
-}
-
-func (n *Network) computeLoss(res *ForwardResult, targets *Targets) error {
-	// The output projection and loss run at the tail of the FW pass, so
-	// their time records under the FW phase.
-	sp := n.Workspace().Recorder().Begin(obs.PhaseFW)
-	defer sp.End()
-	cfg := n.Cfg
-	top := res.H[cfg.Layers-1]
-	evalStep := func(t int) {
-		logits := tensor.MatMul(nil, top[t], n.Proj)
-		tensor.AddRowVector(logits, logits, n.ProjB)
-		res.Logits[t] = logits
-	}
-	switch cfg.Loss {
-	case SingleLoss:
-		if len(targets.Classes) == 0 {
-			return fmt.Errorf("model: single loss requires class targets")
-		}
-		t := cfg.SeqLen - 1
-		evalStep(t)
-		loss, dl := SoftmaxCrossEntropy(res.Logits[t], targets.Classes[len(targets.Classes)-1])
-		res.Loss = loss
-		res.PerStepLoss[t] = loss
-		res.dLogits[t] = dl
-	case PerTimestampLoss:
-		if len(targets.Classes) != cfg.SeqLen {
-			return fmt.Errorf("model: per-timestamp loss requires %d class target steps, got %d",
-				cfg.SeqLen, len(targets.Classes))
-		}
-		inv := float32(1) / float32(cfg.SeqLen)
-		for t := 0; t < cfg.SeqLen; t++ {
-			evalStep(t)
-			loss, dl := SoftmaxCrossEntropy(res.Logits[t], targets.Classes[t])
-			res.Loss += loss / float64(cfg.SeqLen)
-			res.PerStepLoss[t] = loss / float64(cfg.SeqLen)
-			res.dLogits[t] = tensor.Scale(dl, dl, inv)
-		}
-	case RegressionLoss:
-		if len(targets.Regress) != cfg.SeqLen {
-			return fmt.Errorf("model: regression loss requires %d target steps, got %d",
-				cfg.SeqLen, len(targets.Regress))
-		}
-		inv := float32(1) / float32(cfg.SeqLen)
-		for t := 0; t < cfg.SeqLen; t++ {
-			evalStep(t)
-			loss, dl := SquaredError(res.Logits[t], targets.Regress[t])
-			res.Loss += loss / float64(cfg.SeqLen)
-			res.PerStepLoss[t] = loss / float64(cfg.SeqLen)
-			res.dLogits[t] = tensor.Scale(dl, dl, inv)
-		}
-	default:
-		return fmt.Errorf("model: unknown loss kind %v", cfg.Loss)
-	}
-	return nil
 }
 
 // Gradients collects the result of one BP pass.
@@ -460,13 +241,12 @@ type BackwardOpts struct {
 	// extra Grads allocation per cell.
 	OnCell func(layer, t int, cell *lstm.Grads)
 
-	// OnP1, when non-nil, is invoked for every P1 set a checkpointed BP
-	// pass materializes — the stored last segment's sets before BP
-	// consumes them, and each recomputed segment's sets right after its
-	// replay. It is the hook MS1's near-zero pruning uses so regenerated
-	// P1 pairs see exactly the compression the full-storage flow applies
-	// between FW and BP. Backward (full storage) never calls it: there
-	// the caller prunes ForwardResult.P1 directly.
+	// OnP1, when non-nil, is invoked once for every P1 set the BP pass
+	// consumes, before the reverse sweep reaches it — the stored last
+	// segment's sets (every set under full storage) and each recomputed
+	// segment's sets right after its replay. It is the hook MS1's
+	// near-zero pruning uses, so every plan sees the same compressed
+	// products.
 	OnP1 func(layer, t int, p1 *lstm.P1)
 
 	// SparseBP routes every P1-based BP cell through the pair-driven
@@ -493,121 +273,4 @@ func (opts BackwardOpts) backwardFromP1(ws *tensor.Workspace, p *lstm.Params, gr
 		return lstm.BackwardFromP1Sparse(ws, p, grads, x, hPrev, p1, in, opts.TopK)
 	}
 	return lstm.BackwardFromP1(ws, p, grads, x, hPrev, p1, in)
-}
-
-// Backward runs BP through time over a ForwardResult. The same policy
-// used for Forward must be passed so the driver knows whether to use
-// raw caches, P1 products, or to skip (StoreNone) each cell. Skipping a
-// cell breaks the δH/δS chain at that point and propagates no δX to the
-// layer below (the paper's "as if performing inference" semantics); the
-// convergence-aware scaling that compensates lives in internal/skip.
-//
-// Backward consumes res: as the reverse-time sweep visits each cell it
-// releases that cell's cache/P1 set, its stored hidden output and the
-// gradients feeding it back to the network's workspace (the in-memory
-// analogue of the paper's free-on-consume of intermediates). res must
-// not be used again afterwards — its H/Cache/P1/dLogits entries are
-// nil-ed as they are consumed.
-func (n *Network) Backward(res *ForwardResult, policy StoragePolicy, grads *Gradients, opts BackwardOpts) error {
-	cfg := n.Cfg
-	if policy == nil {
-		policy = BaselinePolicy()
-	}
-	ws := n.Workspace()
-
-	// Seed: δY for the top layer comes from the loss through the
-	// projection; the projection gradient accumulates alongside. The
-	// loss-side dLogits are consumed here and released immediately.
-	// Projection backward is matrix work, so it records as BP-MatMul.
-	sp := ws.Recorder().Begin(obs.PhaseBPMatMul)
-	dY := make([]*tensor.Matrix, cfg.SeqLen)
-	top := res.H[cfg.Layers-1]
-	for t := 0; t < cfg.SeqLen; t++ {
-		dl := res.dLogits[t]
-		if dl == nil {
-			continue
-		}
-		tensor.AddMatMulTransA(grads.Proj, top[t], dl)
-		tensor.SumRows(grads.ProjB, dl)
-		dY[t] = tensor.MatMulTransB(ws.Get(cfg.Batch, cfg.Hidden), dl, n.Proj)
-		ws.Put(dl)
-		res.dLogits[t] = nil
-	}
-	sp.End()
-
-	for l := cfg.Layers - 1; l >= 0; l-- {
-		var dH, dS *tensor.Matrix
-		dXBelow := make([]*tensor.Matrix, cfg.SeqLen)
-		for t := cfg.SeqLen - 1; t >= 0; t-- {
-			if policy.Store(l, t) == StoreNone {
-				grads.SkippedCells++
-				// The chain breaks here: the pending gradients and this
-				// cell's stored output die unconsumed.
-				ws.PutAll(dY[t], dH, dS, res.H[l][t])
-				dY[t], res.H[l][t] = nil, nil
-				dH, dS = nil, nil
-				continue
-			}
-			grads.ExecutedCells++
-			in := lstm.BPInput{DY: dY[t], DH: dH, DS: dS}
-
-			target := grads.Layer[l]
-			var cellGrads *lstm.Grads
-			if opts.OnCell != nil {
-				cellGrads = lstm.NewGrads(n.Layer[l])
-				target = cellGrads
-			}
-
-			var out lstm.BPOutput
-			switch {
-			case res.Cache[l][t] != nil:
-				out = lstm.Backward(ws, n.Layer[l], target, res.Cache[l][t], in)
-				res.Cache[l][t].Release(ws)
-				res.Cache[l][t] = nil
-			case res.P1[l][t] != nil:
-				x := res.Inputs[t]
-				if l > 0 {
-					x = res.H[l-1][t]
-				}
-				// zeroH is only drawn for the zero-start first timestamp;
-				// a carried-in state belongs to the caller and must not
-				// be recycled.
-				var hPrev, zeroH *tensor.Matrix
-				switch {
-				case t > 0:
-					hPrev = res.H[l][t-1]
-				case res.initState != nil:
-					hPrev = res.initState.H[l]
-				default:
-					zeroH = ws.Get(cfg.Batch, cfg.Hidden)
-					hPrev = zeroH
-				}
-				out = opts.backwardFromP1(ws, n.Layer[l], target, x, hPrev, res.P1[l][t], in)
-				ws.Put(zeroH)
-				res.P1[l][t].Release(ws)
-				res.P1[l][t] = nil
-			default:
-				return fmt.Errorf("model: cell (%d,%d) has no stored state but policy says execute", l, t)
-			}
-
-			if opts.OnCell != nil {
-				opts.OnCell(l, t, cellGrads)
-				grads.Layer[l].Add(cellGrads)
-			}
-			// Release-on-consume: this cell was the last reader of its
-			// incoming gradients and of its own stored hidden output.
-			ws.PutAll(dY[t], dH, dS, res.H[l][t])
-			dY[t], res.H[l][t] = nil, nil
-			dH, dS = out.DHPrev, out.DSPrev
-			dXBelow[t] = out.DX
-		}
-		// Gradients flowing past t=0 into the previous chunk are
-		// discarded (truncated BPTT).
-		ws.PutAll(dH, dS)
-		dY = dXBelow
-	}
-	for _, d := range dY {
-		ws.Put(d)
-	}
-	return nil
 }

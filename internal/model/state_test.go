@@ -33,11 +33,11 @@ func TestStateContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res1, st, err := chunked.ForwardState(xs[:T], nil, nil, nil)
+	res1, st, err := chunked.ForwardCheckpointed(xs[:T], nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, _, err := chunked.ForwardState(xs[T:], nil, nil, st)
+	res2, _, err := chunked.ForwardCheckpointed(xs[T:], nil, nil, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestStateValidation(t *testing.T) {
 	n, _ := NewNetwork(cfg, rng.New(1))
 	xs := []*tensor.Matrix{tensor.New(2, 3), tensor.New(2, 3)}
 	bad := &State{H: []*tensor.Matrix{tensor.New(2, 4)}, S: []*tensor.Matrix{tensor.New(2, 4)}}
-	if _, _, err := n.ForwardState(xs, nil, nil, bad); err == nil {
+	if _, _, err := n.ForwardCheckpointed(xs, nil, nil, bad, nil); err == nil {
 		t.Fatal("expected error for wrong state layer count")
 	}
 }
@@ -88,11 +88,11 @@ func TestCallerStateImmutable(t *testing.T) {
 	xs := []*tensor.Matrix{tensor.New(2, 3), tensor.New(2, 3)}
 	xs[0].RandInit(r, 1)
 	xs[1].RandInit(r, 1)
-	if _, _, err := n.ForwardState(xs, nil, nil, st); err != nil {
+	if _, _, err := n.ForwardCheckpointed(xs, nil, nil, st, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !st.H[0].Equal(before, 0) {
-		t.Fatal("ForwardState must not mutate the caller's state")
+		t.Fatal("the forward pass must not mutate the caller's state")
 	}
 }
 
@@ -124,7 +124,7 @@ func TestStatefulBackwardGradCheck(t *testing.T) {
 
 	// Gradients must be identical between the raw-cache policy and the
 	// P1 policy under a carried state (they compute the same math).
-	resRaw, _, err := n.ForwardState(xs, tg, BaselinePolicy(), st)
+	resRaw, _, err := n.ForwardCheckpointed(xs, tg, BaselinePolicy(), st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStatefulBackwardGradCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resP1, _, err := n.ForwardState(xs, tg, P1Policy(), st)
+	resP1, _, err := n.ForwardCheckpointed(xs, tg, P1Policy(), st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

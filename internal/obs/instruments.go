@@ -83,11 +83,12 @@ type Train struct {
 	// finished replica sat idle before its group's all-reduce began.
 	AllReduceWait *Histogram
 
-	// Checkpointed BPTT: the number of (h,s) checkpoint columns the
-	// active plan keeps and the bytes they pin, the measured peak of
-	// stored activation bytes over the latest epoch (max across
-	// replicas), and the fraction of FW cells re-executed during BP.
-	// All four sit at zero when training runs full-storage.
+	// BPTT storage: the active plan's segment starts and the bytes its
+	// checkpoint columns pin, the measured peak of stored activation
+	// bytes over the latest epoch (max across replicas), and the
+	// fraction of FW cells re-executed during BP. Published for every
+	// plan; full storage is one segment with no pinned columns and no
+	// recompute.
 	CkptColumns    *Gauge
 	CkptBytes      *Gauge
 	PeakStored     *Gauge

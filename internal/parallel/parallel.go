@@ -8,7 +8,7 @@
 // its own deep-copied model.Network replica (so no weight memory is
 // shared during concurrent passes), then the W gradient sets are merged
 // through a train.GradientSync transport — by default dist.Inproc, the
-// deterministic pairwise tree all-reduce (TreeReduce) — and handed to a
+// deterministic pairwise tree all-reduce (dist.TreeReduce) — and handed to a
 // train.Reducer for averaging/clipping/the optimizer step. Replicas are
 // re-synchronized from the master network before the next group. A
 // distributed sync (dist.Worker) extends the same group step across
@@ -61,8 +61,8 @@ type BatchResult struct {
 	// calibration; nil otherwise.
 	Observed [][]float64
 	// PeakStored is the measured peak of stored activation bytes during
-	// the batch's checkpointed FW+BP (0 when training runs full
-	// storage); Recomputed counts the FW cells replayed during BP.
+	// the batch's FW+BP; Recomputed counts the FW cells replayed during
+	// BP (0 under full storage).
 	PeakStored int64
 	Recomputed int
 }
@@ -301,13 +301,6 @@ func (e *Engine) RunEpoch(ctx context.Context, p train.Provider, fn BatchFn) (Ep
 		}
 	}
 	return res, nil
-}
-
-// TreeReduce forwards to dist.TreeReduce, where the deterministic tree
-// all-reduce now lives behind the train.GradientSync seam; kept here so
-// existing callers of the engine package keep working.
-func TreeReduce(grads []*model.Gradients) *model.Gradients {
-	return dist.TreeReduce(grads)
 }
 
 // addObserved element-wise adds src into dst (allocating dst on first

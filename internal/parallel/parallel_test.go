@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"etalstm/internal/dist"
 	"etalstm/internal/model"
 	"etalstm/internal/rng"
 	"etalstm/internal/tensor"
@@ -68,9 +69,9 @@ func checksum(net *model.Network) uint64 {
 }
 
 // TestTreeReduceExactSum feeds integer-valued gradients (exact in
-// float32 regardless of summation order) through TreeReduce and checks
-// the result equals the arithmetic sum, for every width including the
-// identity case.
+// float32 regardless of summation order) through dist.TreeReduce — the
+// engine's default merge — and checks the result equals the arithmetic
+// sum, for every width including the identity case.
 func TestTreeReduceExactSum(t *testing.T) {
 	net, _ := testNetwork(t, 1)
 	for _, n := range []int{1, 2, 3, 4, 5, 8} {
@@ -83,7 +84,7 @@ func TestTreeReduceExactSum(t *testing.T) {
 			grads[i].ExecutedCells = 2 * i
 		}
 		first := grads[0]
-		merged := TreeReduce(grads)
+		merged := dist.TreeReduce(grads)
 		if merged != first {
 			t.Fatalf("n=%d: TreeReduce must reduce into grads[0]", n)
 		}
@@ -120,8 +121,8 @@ func TestTreeReduceDeterministic(t *testing.T) {
 		}
 		return grads
 	}
-	a := TreeReduce(build())
-	b := TreeReduce(build())
+	a := dist.TreeReduce(build())
+	b := dist.TreeReduce(build())
 	for j := range a.Proj.Data {
 		if math.Float32bits(a.Proj.Data[j]) != math.Float32bits(b.Proj.Data[j]) {
 			t.Fatalf("Proj[%d] differs between identical reductions", j)

@@ -422,6 +422,21 @@ func (s *Span) Event(name string, kv ...string) {
 	s.st.mu.Unlock()
 }
 
+// linkAttr is the event attribute that names a linked span.
+const linkAttr = "span_id"
+
+// Link records a name event naming target — a span recorded under
+// another trace that this span shares, such as a batcher sweep running
+// once for several traced requests. Trace resolves the link: the
+// target and its descendants appear in this span's trace as its
+// children. A nil target records nothing.
+func (s *Span) Link(name string, target *Span) {
+	if target == nil {
+		return
+	}
+	s.Event(name, linkAttr, target.SpanID().String())
+}
+
 // SetError marks the span (and therefore its trace) as failed; an
 // errored trace is always kept. nil err is a no-op.
 func (s *Span) SetError(err error) {
@@ -576,12 +591,77 @@ func (t *Tracer) Spans() []SpanData {
 	return append(out, t.ring[:t.next]...)
 }
 
-// Trace returns the recorded spans of one trace, oldest first.
+// Trace returns the recorded spans of one trace, oldest first,
+// followed by the spans its links name (see Link).
 func (t *Tracer) Trace(id TraceID) []SpanData {
+	all := t.Spans()
 	var out []SpanData
-	for _, sd := range t.Spans() {
+	for _, sd := range all {
 		if sd.TraceID == id {
 			out = append(out, sd)
+		}
+	}
+	return appendLinked(out, all, id)
+}
+
+// appendLinked resolves the links recorded by the spans of trace id:
+// each linked span still in the recorder, and its descendants, is
+// appended as a copy moved into trace id, the linked span re-parented
+// under the span that links it and tagged with the trace it was
+// recorded under.
+func appendLinked(out, all []SpanData, id TraceID) []SpanData {
+	have := make(map[SpanID]bool, len(out))
+	for _, sd := range out {
+		have[sd.SpanID] = true
+	}
+	type link struct{ target, from SpanID }
+	var links []link
+	for _, sd := range out {
+		for _, ev := range sd.Events {
+			for _, a := range ev.Attrs {
+				if a.Key != linkAttr {
+					continue
+				}
+				if sid, ok := ParseSpanID(a.Value); ok && !have[sid] {
+					links = append(links, link{sid, sd.SpanID})
+				}
+			}
+		}
+	}
+	if len(links) == 0 {
+		return out
+	}
+	byID := make(map[SpanID]SpanData, len(all))
+	children := make(map[SpanID][]SpanID)
+	for _, sd := range all {
+		byID[sd.SpanID] = sd
+		children[sd.Parent] = append(children[sd.Parent], sd.SpanID)
+	}
+	for _, l := range links {
+		root, ok := byID[l.target]
+		if !ok || have[l.target] {
+			continue
+		}
+		have[l.target] = true
+		root.Parent = l.from
+		root.Attrs = append(root.Attrs[:len(root.Attrs):len(root.Attrs)],
+			Attr{Key: "linked_trace", Value: root.TraceID.String()})
+		root.TraceID = id
+		out = append(out, root)
+		queue := []SpanID{l.target}
+		for len(queue) > 0 {
+			p := queue[0]
+			queue = queue[1:]
+			for _, c := range children[p] {
+				if have[c] {
+					continue
+				}
+				have[c] = true
+				sd := byID[c]
+				sd.TraceID = id
+				out = append(out, sd)
+				queue = append(queue, c)
+			}
 		}
 	}
 	return out

@@ -258,6 +258,58 @@ func TestRecordChild(t *testing.T) {
 	}
 }
 
+// TestLinkResolvesSharedSpan: a span linking to a span of another trace
+// sees that span, and its descendants, in its own trace — parented
+// under the linking span and tagged with the trace it came from — while
+// the owning trace is unchanged.
+func TestLinkResolvesSharedSpan(t *testing.T) {
+	tr := New(Options{})
+	owner := tr.StartSpan("serve.request")
+	rider := tr.StartSpan("serve.request")
+	sweep := owner.Child("serve.sweep")
+	sweep.RecordChild("FW", time.Now(), time.Millisecond)
+	rider.Link("sweep", sweep)
+	rider.Link("none", nil)
+	sweep.Finish()
+	owner.Finish()
+	rider.Finish()
+
+	if got := len(tr.Trace(owner.TraceID())); got != 3 {
+		t.Fatalf("owner trace: %d spans, want 3", got)
+	}
+	spans := tr.Trace(rider.TraceID())
+	if len(spans) != 3 {
+		t.Fatalf("rider trace: %d spans, want 3 (request, linked sweep, FW)", len(spans))
+	}
+	var linked, fw *SpanData
+	for i := range spans {
+		if spans[i].TraceID != rider.TraceID() {
+			t.Fatalf("span %s kept trace %s", spans[i].Name, spans[i].TraceID)
+		}
+		switch spans[i].Name {
+		case "serve.sweep":
+			linked = &spans[i]
+		case "FW":
+			fw = &spans[i]
+		}
+	}
+	if linked == nil || fw == nil {
+		t.Fatalf("rider trace misses the linked sweep or its FW child: %+v", spans)
+	}
+	if linked.Parent != rider.SpanID() || fw.Parent != sweep.SpanID() {
+		t.Fatalf("linked parents: sweep under %s (want %s), FW under %s (want %s)",
+			linked.Parent, rider.SpanID(), fw.Parent, sweep.SpanID())
+	}
+	if n := len(linked.Attrs); n == 0 || linked.Attrs[n-1] != (Attr{"linked_trace", owner.TraceID().String()}) {
+		t.Fatalf("linked sweep attrs: %+v", linked.Attrs)
+	}
+	for _, sd := range tr.Trace(owner.TraceID()) {
+		if sd.Name == "serve.sweep" && (sd.Parent != owner.SpanID() || len(sd.Attrs) != 0) {
+			t.Fatalf("owner's sweep altered by the rider's lookup: %+v", sd)
+		}
+	}
+}
+
 func TestSummaries(t *testing.T) {
 	tr := New(Options{Process: "router"})
 	a := tr.StartSpan("a")

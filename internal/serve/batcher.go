@@ -222,20 +222,24 @@ func (b *batcher) runGroup(ws *tensor.Workspace, group []*pending) {
 		return
 	}
 	b.m.observeBatch(len(live))
-	// The sweep span is a child of the first traced request in the
-	// batch; every other traced member gets a "sweep" event naming the
-	// shared sweep span, so all riders resolve to the same sweep.
+	// The sweep span is a child of the first sampled traced request in
+	// the batch (the first traced one when none is sampled), so it is
+	// kept whenever any rider's trace is; every other traced member
+	// links to the shared sweep span, and its trace resolves the link,
+	// so all riders show the same sweep.
 	var sweep *rtrace.Span
 	if b.opts.Tracer != nil {
+		var owner *rtrace.Span
 		for _, p := range live {
 			sp := rtrace.FromContext(p.ctx)
-			if sp == nil {
-				continue
+			if sp != nil && (owner == nil || (!owner.Sampled() && sp.Sampled())) {
+				owner = sp
 			}
-			if sweep == nil {
-				sweep = sp.Child("serve.sweep")
-			} else {
-				sp.Event("sweep", "span_id", sweep.SpanID().String())
+		}
+		sweep = owner.Child("serve.sweep")
+		for _, p := range live {
+			if sp := rtrace.FromContext(p.ctx); sp != nil && sp != owner {
+				sp.Link("sweep", sweep)
 			}
 		}
 		sweep.Attr("batch_size", strconv.Itoa(len(live)))

@@ -1,14 +1,17 @@
-package train
+package train_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"etalstm/internal/core"
 	"etalstm/internal/lstm"
 	"etalstm/internal/model"
 	"etalstm/internal/rng"
 	"etalstm/internal/tensor"
+	"etalstm/internal/train"
 )
 
 func randomGrads(t *testing.T, seed uint64) (*model.Network, *model.Gradients) {
@@ -39,9 +42,9 @@ func randomGrads(t *testing.T, seed uint64) (*model.Network, *model.Gradients) {
 func TestPropertyClipIdempotent(t *testing.T) {
 	f := func(seed uint64) bool {
 		_, g := randomGrads(t, seed)
-		ClipGradients(g, 1)
+		train.ClipGradients(g, 1)
 		before := g.Proj.Clone()
-		norm := ClipGradients(g, 1)
+		norm := train.ClipGradients(g, 1)
 		return norm <= 1.0001 && g.Proj.Equal(before, 1e-7)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -55,7 +58,7 @@ func TestPropertyAdamFirstStepDirection(t *testing.T) {
 	f := func(seed uint64) bool {
 		net, g := randomGrads(t, seed)
 		before := net.Proj.Clone()
-		opt := &Adam{LR: 0.01}
+		opt := &train.Adam{LR: 0.01}
 		opt.Step(net, g)
 		for i, grad := range g.Proj.Data {
 			if math.Abs(float64(grad)) < 1e-3 {
@@ -81,7 +84,7 @@ func TestPropertySGDExactUpdate(t *testing.T) {
 	f := func(seed uint64) bool {
 		net, g := randomGrads(t, seed)
 		before := net.Proj.Clone()
-		opt := &SGD{LR: 0.1}
+		opt := &train.SGD{LR: 0.1}
 		opt.Step(net, g)
 		for i := range net.Proj.Data {
 			want := before.Data[i] - 0.1*g.Proj.Data[i]
@@ -106,8 +109,8 @@ func TestDivergenceGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	prov := &explodingProvider{cfg: cfg}
-	tr := &Trainer{Net: net, Opt: &SGD{LR: 1e6}}
-	_, runErr := tr.Run(prov, 50)
+	tr := core.New(net, &train.SGD{LR: 1e6}, 0, core.Config{})
+	_, runErr := tr.Run(context.Background(), prov, 50)
 	if runErr == nil {
 		t.Fatal("expected divergence to surface as an error")
 	}
@@ -121,9 +124,9 @@ type explodingProvider struct {
 
 func (p *explodingProvider) NumBatches() int { return 2 }
 
-func (p *explodingProvider) Batch(i int) Batch {
+func (p *explodingProvider) Batch(i int) train.Batch {
 	r := rng.New(uint64(i) + 1)
-	b := Batch{Targets: &model.Targets{}}
+	b := train.Batch{Targets: &model.Targets{}}
 	for t := 0; t < p.cfg.SeqLen; t++ {
 		x := tensor.New(p.cfg.Batch, p.cfg.InputSize)
 		x.RandInit(r, 10)

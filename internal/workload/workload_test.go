@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
+	"etalstm/internal/core"
 	"etalstm/internal/model"
 	"etalstm/internal/rng"
 	"etalstm/internal/train"
@@ -157,8 +159,8 @@ func TestBenchmarksAreLearnable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := &train.Trainer{Net: net, Opt: &train.Adam{LR: 0.01}, Clip: 5}
-			stats, err := tr.Run(prov, 8)
+			tr := core.New(net, &train.Adam{LR: 0.01}, 5, core.Config{})
+			stats, err := tr.Run(context.Background(), prov, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
