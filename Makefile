@@ -3,7 +3,7 @@ GO ?= go
 # Budget per fuzz target for `make fuzz` (go test -fuzztime syntax).
 FUZZTIME ?= 30s
 
-.PHONY: build test race bench vet fmt check fuzz cover serve-smoke obs-smoke longseq-smoke dist-smoke fleet-smoke trace-smoke all
+.PHONY: build test race bench bench-smoke vet fmt check fuzz cover serve-smoke obs-smoke longseq-smoke dist-smoke fleet-smoke trace-smoke all
 
 all: build test
 
@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with real concurrency: the
-# data-parallel engine, the trainer that drives it, the public API
+# trainer and its replica step loop, the public API
 # (whose tests exercise multi-worker training end to end), the
 # workspace-threaded FW/BP stack (lstm kernels + model), where replica
 # confinement of the scratch arenas is the thing under test, the MS2
@@ -29,10 +29,19 @@ test:
 # churn, hot-swap rolls under load), and the request tracer (spans
 # finishing on worker goroutines while HTTP handlers read the ring).
 race:
-	$(GO) test -race ./internal/parallel ./internal/core ./internal/tensor ./internal/lstm ./internal/model ./internal/check ./internal/skip ./internal/train ./internal/serve ./internal/obs ./internal/memplan ./internal/dist ./internal/fleet ./internal/rtrace .
+	$(GO) test -race ./internal/core ./internal/tensor ./internal/lstm ./internal/model ./internal/check ./internal/skip ./internal/train ./internal/serve ./internal/obs ./internal/memplan ./internal/dist ./internal/fleet ./internal/rtrace .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke vets and tests the benchmark's nested Go module
+# (perfbench/, which imports this one through a replace directive):
+# every workload runs briefly, traced and untraced, with its
+# correctness checks, including the bitwise loss mirrors of the
+# trainer. `go build ./...` and `go test ./...` at the root skip the
+# nested module, so this is the only gate that compiles it.
+bench-smoke:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 # fuzz runs every Fuzz* target for FUZZTIME each (Go allows one target
 # per invocation). -fuzzminimizetime=1x keeps the budget spent on
@@ -122,5 +131,6 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# check is the pre-commit gate: vet + formatting + build + tests.
-check: vet fmt build test
+# check is the pre-commit gate: vet + formatting + build + tests +
+# the benchmark module's smoke run.
+check: vet fmt build test bench-smoke

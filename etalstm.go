@@ -133,17 +133,6 @@ func (m Mode) String() string {
 // readable spelling).
 const NoClip = -1
 
-// Reducer is the pluggable final stage of a training step: it receives
-// the merged gradients of one optimizer step and performs averaging,
-// clipping and the weight update. Supply one through
-// TrainerOptions.Reducer to slot in custom clipping schemes or future
-// multi-backend/sharded reducers; the default is clip-then-step.
-type Reducer = train.Reducer
-
-// ClipStep is the default Reducer: average over replicas, clip the
-// global L2 norm (Clip <= 0 disables), apply Opt.
-type ClipStep = train.ClipStep
-
 // GradientSync is the transport seam of a training step: the stage
 // that merges one step's gradient contributions, possibly across
 // processes. Supply one through TrainerOptions.Sync; nil keeps the
@@ -209,18 +198,15 @@ type TrainerOptions struct {
 	// disables clipping entirely).
 	Clip float64
 	// Workers is the data-parallel replica count. 0 derives a count
-	// from runtime.NumCPU() (capped at 8); 1 forces the serial trainer
-	// (one optimizer step per minibatch, bitwise identical to the
-	// classic loop); > 1 shards each epoch's minibatches across that
-	// many replica workers with one optimizer step per group of Workers
+	// from runtime.NumCPU() (capped at 8); 1 is one replica, the network
+	// itself (one optimizer step per minibatch, bitwise identical to the
+	// classic serial loop); > 1 shards each epoch's minibatches across
+	// that many replicas with one optimizer step per group of Workers
 	// batches, merged by a deterministic tree all-reduce — reproducible
 	// run-to-run for any fixed worker count. Replica workers multiply
 	// with the kernel-level parallelism set by SetWorkers; see
 	// SetWorkers for the combined tuning story.
 	Workers int
-	// Reducer overrides the merge-clip-step stage (nil = ClipStep with
-	// the options above).
-	Reducer Reducer
 	// PruneThreshold is MS1's near-zero cutoff (0 = 0.1).
 	PruneThreshold float32
 	// SparseBackward routes BP through the pair-driven sparse kernels,
@@ -254,11 +240,6 @@ type TrainerOptions struct {
 	// An infeasible budget (below even per-step checkpointing) fails at
 	// the first RunEpoch with a diagnostic.
 	MemoryBudget int64
-	// Observer, when non-nil, receives each epoch's stats right after
-	// the epoch completes — loss, wall time, prune/skip behaviour — for
-	// live logging without polling. It runs on the training goroutine;
-	// keep it fast.
-	Observer func(EpochStats)
 	// RecordPhases enables per-phase span recording (see
 	// Trainer.Phases). Off by default; disabled recording costs one nil
 	// test per phase boundary, so the FW/BP hot path stays
@@ -266,10 +247,11 @@ type TrainerOptions struct {
 	RecordPhases bool
 	// Sync routes each optimizer step's gradient merge through a
 	// transport (NewCompressedSync for in-process compression, DialSync
-	// to join a multi-process run). nil keeps the built-in paths bitwise
-	// intact. The trainer owns the reducer averaging: it divides by the
-	// contribution count the sync reports, so a distributed sync makes
-	// this trainer one member of a larger data-parallel group.
+	// to join a multi-process run). nil keeps the built-in deterministic
+	// in-process tree all-reduce. The trainer owns the averaging: it
+	// divides by the contribution count the sync reports, so a
+	// distributed sync makes this trainer one member of a larger
+	// data-parallel group.
 	Sync GradientSync
 }
 
@@ -327,9 +309,7 @@ func NewTrainer(net *Network, mode Mode, opts TrainerOptions) *Trainer {
 	}
 	inner := core.New(net, opt, clip, cfg)
 	inner.Workers = workers
-	inner.Reducer = opts.Reducer
 	inner.Sync = opts.Sync
-	inner.Observer = opts.Observer
 	inner.RecordPhases = opts.RecordPhases
 	return &Trainer{inner: inner, mode: mode}
 }

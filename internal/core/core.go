@@ -19,14 +19,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"etalstm/internal/lstm"
 	"etalstm/internal/memplan"
 	"etalstm/internal/model"
 	"etalstm/internal/obs"
-	"etalstm/internal/parallel"
 	"etalstm/internal/reorder"
 	"etalstm/internal/rtrace"
 	"etalstm/internal/skip"
@@ -128,42 +126,32 @@ func (s Stats) RecomputeRatio() float64 {
 
 // Trainer is the η-LSTM training driver.
 //
-// Scratch memory: serial runs (Workers <= 1) execute every batch on
-// Net, whose embedded tensor.Workspace is therefore reused across the
-// whole run — steady-state epochs recycle the same FW/BP buffers
-// instead of reallocating them. Data-parallel runs give each replica
-// clone a private workspace (see internal/parallel), so no arena is
-// ever shared between goroutines.
+// Scratch memory: every replica reuses its embedded tensor.Workspace
+// across the whole run, so steady-state epochs recycle the same FW/BP
+// buffers instead of reallocating them. Replica 0 is Net itself; the
+// other replicas are clones with private workspaces (see engine.go), so
+// no arena is ever shared between goroutines.
 type Trainer struct {
 	Net  *model.Network
 	Opt  train.Optimizer
 	Clip float64 // max gradient L2 norm; <= 0 disables clipping
 	Cfg  Config
 
-	// Workers is the data-parallel replica count. <= 1 runs the classic
-	// serial loop (one optimizer step per minibatch); > 1 shards each
-	// epoch's minibatches across that many replica workers
-	// (internal/parallel) with one optimizer step per group of Workers
-	// batches, gradients merged by a deterministic tree all-reduce.
+	// Workers is the data-parallel replica count (clamped to >= 1). One
+	// replica is Net itself: one optimizer step per minibatch, with no
+	// goroutine and no clone. More replicas shard each epoch's
+	// minibatches into groups of Workers, one optimizer step per group,
+	// gradients merged by a deterministic tree all-reduce.
 	Workers int
-	// Reducer applies merged gradients (averaging, clipping, optimizer
-	// step). nil selects train.ClipStep{Opt, Clip} wired to the gradient
-	// instruments.
-	Reducer train.Reducer
 	// Sync is the gradient transport each optimizer step's contributions
-	// merge through. nil keeps the built-in paths bitwise intact: the
-	// serial loop applies each batch's gradients directly and the
-	// parallel engine uses its default in-process tree all-reduce. A
-	// non-nil sync (dist.Compressed, dist.Worker) routes both the serial
-	// and parallel step through GradientSync.Reduce, and the reducer
-	// averages by the contribution count the sync reports — which is how
-	// one process's trainer joins a multi-process data-parallel run.
+	// merge through. nil selects dist.Inproc, the deterministic
+	// in-process tree all-reduce (the identity for one replica). A
+	// non-nil sync (dist.Compressed, dist.Worker) routes the step
+	// through GradientSync.Reduce, and the clip-then-step averages by the
+	// contribution count the sync reports — which is how one process's
+	// trainer joins a multi-process data-parallel run.
 	Sync train.GradientSync
 
-	// Observer, when non-nil, receives each epoch's Stats right after
-	// the epoch completes — the introspection hook behind
-	// etalstm.TrainerOptions.Observer.
-	Observer func(Stats)
 	// RecordPhases enables phase-span recording (FW / BP-EW-P1 /
 	// BP-EW-P2 / BP-MatMul / all-reduce / optimizer). Off by default:
 	// disabled recording costs one nil test per phase boundary.
@@ -174,18 +162,18 @@ type Trainer struct {
 	// absBar is the calibrated absolute significance threshold; set
 	// after the first epoch's magnitude calibration.
 	absBar float64
-	// engine is the lazily-built data-parallel engine (Workers > 1).
-	engine *parallel.Engine
+	// replicas is the replica set of the step loop: Net, then
+	// Workers-1 clones (built by the first epoch; see setReplicas).
+	replicas []*model.Network
 	// placement is the cached checkpoint placement for Cfg.MemoryBudget
 	// (nil until first resolved; see Placement).
 	placement *memplan.Placement
 
 	// ins are the telemetry instruments (lazily bound to obs.Default).
 	ins *obs.Train
-	// rec aggregates phase spans across epochs; replicaRecs are the
-	// per-worker recorders folded into it after each parallel epoch.
-	rec         *obs.Recorder
-	replicaRecs []*obs.Recorder
+	// rec aggregates phase spans across epochs: it rides Net's
+	// workspace, and the clones' recorders fold into it after each epoch.
+	rec *obs.Recorder
 	// arenaHits/arenaMisses remember the workspace counters already
 	// exported, so each epoch adds only the delta to the cumulative
 	// arena instruments.
@@ -227,12 +215,9 @@ func (tr *Trainer) Phases() []obs.PhaseStat {
 	return tr.rec.Breakdown()
 }
 
-// reducer returns the configured reducer or the default clip-then-step,
-// wired to the gradient-norm instruments.
-func (tr *Trainer) reducer() train.Reducer {
-	if tr.Reducer != nil {
-		return tr.Reducer
-	}
+// clipStep returns the clip-then-step stage wired to the gradient-norm
+// instruments.
+func (tr *Trainer) clipStep() train.ClipStep {
 	ins := tr.instruments()
 	return train.ClipStep{Opt: tr.Opt, Clip: tr.Clip, OnApply: func(norm float64, clipped bool) {
 		ins.GradNorm.Set(norm)
@@ -276,12 +261,10 @@ func (tr *Trainer) planFor(epoch int) *skip.Plan {
 // forward under the epoch's storage policy and checkpoint plan,
 // backpropagate with MS1's near-zero pruning applied to every P1 set
 // through the OnP1 hook (collecting calibration magnitudes when
-// requested), and apply MS2's convergence-aware scaling. The same
-// closure drives both the serial loop and the data-parallel engine, so
-// the two paths share every floating-point operation.
-func (tr *Trainer) batchFn(epoch int, plan *skip.Plan, policy model.StoragePolicy, calibrating bool, boundaries []int) parallel.BatchFn {
-	return func(net *model.Network, batch train.Batch, b int) (parallel.BatchResult, error) {
-		var out parallel.BatchResult
+// requested), and apply MS2's convergence-aware scaling.
+func (tr *Trainer) batchFn(epoch int, plan *skip.Plan, policy model.StoragePolicy, calibrating bool, boundaries []int) batchFn {
+	return func(net *model.Network, batch train.Batch, b int) (batchResult, error) {
+		var out batchResult
 		grads := net.NewGradients()
 		opts := model.BackwardOpts{
 			SparseBP: tr.Cfg.SparseBackward && tr.Cfg.EnableMS1,
@@ -384,37 +367,12 @@ func (tr *Trainer) RunEpoch(ctx context.Context, p train.Provider, epoch int) (S
 	calibrating := tr.Cfg.EnableMS2 && epoch == 0
 	fn := tr.batchFn(epoch, plan, policy, calibrating, placement.Boundaries)
 
-	var epochRes parallel.EpochResult
-	var err error
-	if tr.Workers > 1 {
-		if tr.engine == nil || tr.engine.Workers() != tr.Workers {
-			tr.engine = parallel.New(tr.Net, tr.Workers, tr.reducer())
-			tr.replicaRecs = nil
-		}
-		if tr.rec != nil && tr.replicaRecs == nil {
-			// One recorder per replica, riding the replica's workspace
-			// (same goroutine confinement). They are folded into the
-			// aggregate after the epoch, once the workers have joined.
-			for _, rep := range tr.engine.Replicas() {
-				r := &obs.Recorder{}
-				rep.Workspace().SetRecorder(r)
-				tr.replicaRecs = append(tr.replicaRecs, r)
-			}
-		}
-		tr.engine.Rec = tr.rec
-		tr.engine.Sync = tr.Sync
-		tr.engine.OnStep = func(d time.Duration) { ins.StepLatency.Observe(d.Seconds()) }
-		tr.engine.OnWait = func(_ int, d time.Duration) { ins.AllReduceWait.Observe(d.Seconds()) }
-		epochRes, err = tr.engine.RunEpoch(ctx, p, fn)
-		if tr.rec != nil {
-			for _, r := range tr.replicaRecs {
-				tr.rec.Add(r)
-				r.Reset()
-			}
-		}
-	} else {
-		tr.Net.Workspace().SetRecorder(tr.rec)
-		epochRes, err = tr.runSerial(ctx, p, fn, epoch)
+	tr.setReplicas()
+	epochRes, err := tr.runSteps(ctx, p, fn, epoch)
+	for _, rep := range tr.replicas[1:] {
+		r := rep.Workspace().Recorder()
+		tr.rec.Add(r)
+		r.Reset()
 	}
 	st.PruneStats = epochRes.Prune
 	st.SkippedCells = epochRes.SkippedCells
@@ -480,117 +438,28 @@ func (tr *Trainer) RunEpoch(ctx context.Context, p train.Provider, epoch int) (S
 	tr.observeArenas(ins)
 
 	tr.EpochStats = append(tr.EpochStats, st)
-	if tr.Observer != nil {
-		tr.Observer(st)
-	}
 	return st, nil
 }
 
-// observeArenas folds the workspace traffic of the master network and
-// every replica into the cumulative arena instruments. The workspace
-// counters are lifetime totals, so only the delta since the previous
-// call is added; a rebuilt engine (fresh replicas) makes the total
-// shrink momentarily, which Counter.Add ignores until the new replicas
-// catch up.
+// observeArenas folds the workspace traffic of every replica (the
+// master included, once) into the cumulative arena instruments. The
+// workspace counters are lifetime totals, so only the delta since the
+// previous call is added; a rebuilt replica set makes the total shrink
+// momentarily, which Counter.Add ignores until the new clones catch up.
 func (tr *Trainer) observeArenas(ins *obs.Train) {
 	var hits, misses, elems int64
-	add := func(ws *tensor.Workspace) {
+	for _, rep := range tr.replicas {
+		ws := rep.Workspace()
 		s := ws.Stats()
 		hits += s.Hits
 		misses += s.Misses
 		_, el := ws.Retained()
 		elems += el
 	}
-	add(tr.Net.Workspace())
-	if tr.engine != nil {
-		for _, rep := range tr.engine.Replicas() {
-			add(rep.Workspace())
-		}
-	}
 	ins.ArenaHits.Add(hits - tr.arenaHits)
 	ins.ArenaMisses.Add(misses - tr.arenaMisses)
 	tr.arenaHits, tr.arenaMisses = hits, misses
 	ins.ArenaBytes.Set(float64(elems) * 4) // float32 elements
-}
-
-// runSerial is the classic one-step-per-minibatch loop: every batch
-// runs on the master network and applies through the reducer with a
-// replica count of one, preserving the seed trainer's exact float
-// operation order.
-func (tr *Trainer) runSerial(ctx context.Context, p train.Provider, fn parallel.BatchFn, epoch int) (parallel.EpochResult, error) {
-	var res parallel.EpochResult
-	red := tr.reducer()
-	ins := tr.instruments()
-	rtr := rtrace.Default()
-	for b := 0; b < p.NumBatches(); b++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		t0 := time.Now()
-		// The step span: one per optimizer step, with the recorder's
-		// phase wall time folded in as children after the step. Disabled
-		// tracing keeps this a nil span — pointer tests only.
-		var step *rtrace.Span
-		var before obs.PhaseSnapshot
-		if rtr != nil {
-			step = rtr.StartSpan("train.step")
-			step.Attr("epoch", strconv.Itoa(epoch))
-			step.Attr("batch", strconv.Itoa(b))
-			before = tr.rec.Snapshot()
-			if s, ok := tr.Sync.(interface{ SetStepSpan(*rtrace.Span) }); ok {
-				s.SetStepSpan(step)
-			}
-		}
-		r, err := fn(tr.Net, p.Batch(b), b)
-		if err != nil {
-			step.FinishErr(err)
-			return res, err
-		}
-		// With no sync configured the batch's gradients apply directly —
-		// the seed trainer's exact float operation order. A sync routes
-		// the step through the transport seam (a distributed worker's
-		// serial loop is one replica of a multi-process group).
-		applied, contribs := r.Grads, 1
-		if tr.Sync != nil {
-			sp := tr.rec.Begin(obs.PhaseAllReduce)
-			merged, n, serr := tr.Sync.Reduce([]*model.Gradients{r.Grads})
-			sp.End()
-			if serr != nil {
-				step.FinishErr(serr)
-				return res, serr
-			}
-			applied, contribs = merged, n
-		}
-		sp := tr.rec.Begin(obs.PhaseOptimizer)
-		red.Apply(tr.Net, applied, contribs)
-		sp.End()
-		if step != nil {
-			rtrace.FoldPhases(step, t0, tr.rec.Snapshot().Delta(before))
-			step.Finish()
-		}
-		ins.StepLatency.Observe(time.Since(t0).Seconds())
-		res.Batches++
-		res.TotalLoss += r.Loss
-		res.Prune = res.Prune.Add(r.Prune)
-		res.SkippedCells += r.Grads.SkippedCells
-		res.ExecutedCells += r.Grads.ExecutedCells
-		if r.PeakStored > res.PeakStored {
-			res.PeakStored = r.PeakStored
-		}
-		res.RecomputedCells += r.Recomputed
-		if r.Observed != nil {
-			if res.Observed == nil {
-				res.Observed = r.Observed
-			} else {
-				for l := range r.Observed {
-					for t := range r.Observed[l] {
-						res.Observed[l][t] += r.Observed[l][t]
-					}
-				}
-			}
-		}
-	}
-	return res, nil
 }
 
 // Run trains for the given number of epochs, stopping early (with

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strconv"
 	"testing"
+	"time"
 
 	"etalstm/internal/obs"
 	"etalstm/internal/rtrace"
@@ -112,5 +113,69 @@ func TestParallelEpochStepTraces(t *testing.T) {
 	}
 	if !replicas["0"] || !replicas["1"] {
 		t.Fatalf("per-replica FW phase children missing (saw replicas %v)", replicas)
+	}
+}
+
+// TestStepPhaseClosure checks every train.step span's phase children
+// fit inside it, at one replica and at two. Replicas run concurrently,
+// so the bound holds per replica lane: that replica's FW/BP children
+// plus the coordinator-side (all-reduce, optimizer) children, which
+// run after the join. Replica 0 is the master network, whose recorder
+// also carries the coordinator phases; folding its FW/BP a second time
+// as coordinator work would overshoot the step.
+func TestStepPhaseClosure(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run("workers="+strconv.Itoa(workers), func(t *testing.T) {
+			rec := withTracer(t, rtrace.Options{Process: "trainer"})
+			bench, prov := scaledBench(t, "IMDB")
+			tr := newTrainer(t, bench, Config{EnableMS1: true}, 1)
+			tr.Workers = workers
+			if _, err := tr.RunEpoch(context.Background(), prov, 0); err != nil {
+				t.Fatal(err)
+			}
+			spans := rec.Spans()
+			steps := make(map[rtrace.SpanID]rtrace.SpanData)
+			for _, sd := range spans {
+				if sd.Name == "train.step" {
+					steps[sd.SpanID] = sd
+				}
+			}
+			if len(steps) == 0 {
+				t.Fatal("no train.step spans recorded")
+			}
+			// lanes[step][replica] sums a replica's phase children; the
+			// "" lane holds the coordinator-side children.
+			lanes := make(map[rtrace.SpanID]map[string]time.Duration)
+			for _, sd := range spans {
+				if _, ok := steps[sd.Parent]; !ok {
+					continue
+				}
+				lane := ""
+				for _, a := range sd.Attrs {
+					if a.Key == "replica" {
+						lane = a.Value
+					}
+				}
+				if lanes[sd.Parent] == nil {
+					lanes[sd.Parent] = make(map[string]time.Duration)
+				}
+				lanes[sd.Parent][lane] += sd.Duration
+			}
+			for id, step := range steps {
+				l := lanes[id]
+				if l[""] == 0 {
+					t.Fatalf("step %v has no coordinator-side phase children", step.Attrs)
+				}
+				for lane, d := range l {
+					if lane == "" {
+						continue
+					}
+					if sum := d + l[""]; sum > step.Duration {
+						t.Errorf("step %v: replica %s phases + coordinator phases = %v exceed the step's %v",
+							step.Attrs, lane, sum, step.Duration)
+					}
+				}
+			}
+		})
 	}
 }

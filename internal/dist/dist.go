@@ -1,11 +1,11 @@
 // Package dist implements the gradient-sync transports behind the
 // train.GradientSync seam — the all-reduce path of data-parallel
-// training, refactored out of the engine so replicas can live in one
-// process or many:
+// training, kept out of the trainer's step loop so replicas can live in
+// one process or many:
 //
-//   - Inproc is the deterministic in-process tree all-reduce the engine
-//     always used, moved behind the seam unchanged (bitwise identical,
-//     pinned by the golden reproducibility tests).
+//   - Inproc is the deterministic in-process tree all-reduce the step
+//     loop uses when no sync is configured (bitwise identical to the
+//     pre-seam merge, pinned by the golden reproducibility tests).
 //   - Compressed wraps any sync and sparsifies each replica's
 //     contribution first — MS1's (value, index) encoding applied to
 //     gradient traffic, with per-replica error feedback so dropped mass
@@ -43,7 +43,7 @@ func TreeReduce(grads []*model.Gradients) *model.Gradients {
 
 // Inproc is the in-process gradient sync: the deterministic tree
 // all-reduce over the local replica contributions, nothing on any wire.
-// It is the seam's identity transport and the default the engine uses
+// It is the seam's identity transport and the default the trainer uses
 // when no sync is configured.
 type Inproc struct{}
 

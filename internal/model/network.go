@@ -33,7 +33,7 @@ type Network struct {
 // pass returns them as the reverse sweep consumes them, so steady-state
 // training reuses the same storage batch after batch. A Clone starts
 // with a fresh workspace of its own — that per-replica confinement is
-// what keeps the data-parallel engine race-free.
+// what keeps the trainer's concurrent replicas race-free.
 func (n *Network) Workspace() *tensor.Workspace {
 	if n.wsOff {
 		return nil

@@ -66,8 +66,8 @@ func (p Phase) String() string {
 // Recorder accumulates per-phase wall time and span counts in fixed
 // storage — Begin/End never allocate, whether the recorder is present
 // or nil. Like a tensor.Workspace, a Recorder is confined to one
-// goroutine at a time (one per serial trainer, one per data-parallel
-// replica); aggregation across goroutines happens by Add after the
+// goroutine at a time (one per trainer replica, the master network's
+// included); aggregation across goroutines happens by Add after the
 // goroutines are joined, never concurrently.
 //
 // The disabled path is a nil *Recorder: Begin returns the zero Span

@@ -6,10 +6,10 @@ import "etalstm/internal/model"
 // gradients of one optimizer step (the sum over one or more replica
 // contributions) and is responsible for everything between BP and the
 // weight update — averaging, clipping, and the optimizer application.
-// The serial trainer uses it with replicas == 1; the data-parallel
-// engine (internal/parallel) feeds it tree-reduced sums. Implementing
-// this interface is the extension point for future multi-backend or
-// sharded reducers.
+// The trainer's step loop (internal/core) feeds it the merged sum of
+// one step's contributions — a single replica's gradients when it runs
+// one replica. Implementing this interface is the extension point for
+// future multi-backend or sharded reducers.
 type Reducer interface {
 	// Apply consumes grads (the summed contribution of `replicas`
 	// gradient sets) and updates net. Implementations may mutate grads.
