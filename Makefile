@@ -26,10 +26,12 @@ test:
 # under concurrently, the distributed gradient transport (reader
 # goroutines handing decode buffers to the coordinator's merge loop),
 # the fleet router (concurrent forwarding, prober-driven membership
-# churn, hot-swap rolls under load), and the request tracer (spans
-# finishing on worker goroutines while HTTP handlers read the ring).
+# churn, hot-swap rolls under load), the request tracer (spans
+# finishing on worker goroutines while HTTP handlers read the ring),
+# and the checkpoint codec (loaded and digested from reload handlers
+# while sweeps run).
 race:
-	$(GO) test -race ./internal/core ./internal/tensor ./internal/lstm ./internal/model ./internal/check ./internal/skip ./internal/train ./internal/serve ./internal/obs ./internal/memplan ./internal/dist ./internal/fleet ./internal/rtrace .
+	$(GO) test -race ./internal/core ./internal/tensor ./internal/lstm ./internal/model ./internal/check ./internal/skip ./internal/train ./internal/serve ./internal/obs ./internal/memplan ./internal/dist ./internal/fleet ./internal/rtrace ./internal/persist .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -81,7 +83,8 @@ cover:
 	check ./internal/dist 85; \
 	check ./internal/compress 85; \
 	check ./internal/fleet 85; \
-	check ./internal/rtrace 85
+	check ./internal/rtrace 85; \
+	check ./internal/persist 80
 
 # serve-smoke is the end-to-end serving check: checkpoint -> etaserve
 # on an ephemeral port -> loadgen burst -> graceful drain, all through

@@ -49,8 +49,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	var (
 		ckpt     = fs.String("ckpt", "", "checkpoint file to serve (required unless -loadgen)")
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address")
-		window   = fs.Duration("window", 0, "micro-batch flush window (0 = 2ms)")
-		maxBatch = fs.Int("max-batch", 0, "micro-batch flush size (0 = 32)")
+		window   = fs.Duration("window", 0, "how long a lone request waits for batch company (0 = dispatch as soon as a worker is free)")
+		maxBatch = fs.Int("max-batch", 0, "micro-batch size cap (0 = 32)")
 		queue    = fs.Int("queue", 0, "admission queue capacity (0 = 8x max-batch)")
 		workers  = fs.Int("workers", 0, "sweep worker pool size (0 = derive from CPU count)")
 		ttl      = fs.Duration("session-ttl", 0, "idle session eviction age (0 = 5m)")

@@ -497,7 +497,8 @@ func CheckConfig(got, want Config) error { return persist.CheckConfig(got, want)
 type Server = serve.Server
 
 // ServeOptions tunes a Server; zero values select sensible defaults
-// (MaxBatch 32, 2ms batching window, worker pool sized from NumCPU).
+// (MaxBatch 32; Window 0 = dispatch as soon as a worker is free; worker
+// pool sized from NumCPU).
 type ServeOptions = serve.Options
 
 // ServeStats is a Server's self-reported operational snapshot (also

@@ -57,6 +57,20 @@ func (n *Network) DisableWorkspace() {
 
 // NewNetwork builds a network with initialized weights.
 func NewNetwork(cfg Config, r *rng.RNG) (*Network, error) {
+	n, err := Alloc(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range n.Layer {
+		p.Init(r)
+	}
+	n.Proj.XavierInit(r, cfg.Hidden, cfg.OutSize)
+	return n, nil
+}
+
+// Alloc builds a network of cfg's geometry with every weight zero —
+// the storage NewNetwork initializes and a checkpoint decoder fills.
+func Alloc(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,12 +80,9 @@ func NewNetwork(cfg Config, r *rng.RNG) (*Network, error) {
 		if l == 0 {
 			in = cfg.InputSize
 		}
-		p := lstm.NewParams(in, cfg.Hidden)
-		p.Init(r)
-		n.Layer = append(n.Layer, p)
+		n.Layer = append(n.Layer, lstm.NewParams(in, cfg.Hidden))
 	}
 	n.Proj = tensor.New(cfg.Hidden, cfg.OutSize)
-	n.Proj.XavierInit(r, cfg.Hidden, cfg.OutSize)
 	return n, nil
 }
 

@@ -53,6 +53,41 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestAllocThenInitIsNewNetwork: Alloc is NewNetwork's storage step —
+// zero weights in the right shapes — and an invalid config fails there.
+func TestAllocThenInitIsNewNetwork(t *testing.T) {
+	cfg := testConfig(SingleLoss)
+	n, err := Alloc(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewNetwork(cfg, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, p := range n.Layer {
+		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
+			w, rw := p.W[g], ref.Layer[l].W[g]
+			if w.Rows != rw.Rows || w.Cols != rw.Cols || len(p.B[g]) != len(ref.Layer[l].B[g]) {
+				t.Fatalf("layer %d gate %v: shape differs from NewNetwork", l, g)
+			}
+			for _, v := range w.Data {
+				if v != 0 {
+					t.Fatalf("layer %d gate %v: Alloc left a nonzero weight", l, g)
+				}
+			}
+		}
+	}
+	if n.Proj.Rows != cfg.Hidden || n.Proj.Cols != cfg.OutSize || len(n.ProjB) != cfg.OutSize {
+		t.Fatalf("projection %dx%d + %d, want %dx%d + %d",
+			n.Proj.Rows, n.Proj.Cols, len(n.ProjB), cfg.Hidden, cfg.OutSize, cfg.OutSize)
+	}
+	cfg.Hidden = 0
+	if _, err := Alloc(cfg); err == nil {
+		t.Fatal("Alloc accepted Hidden 0")
+	}
+}
+
 func TestForwardShapesAndLoss(t *testing.T) {
 	for _, kind := range []LossKind{SingleLoss, PerTimestampLoss, RegressionLoss} {
 		cfg := testConfig(kind)

@@ -27,6 +27,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
 	f.Add([]byte("\xce\xb7LSTMv1\n garbage"))
+	f.Add(craftedCheckpoint(1 << 40)) // sealed, but claims a huge hidden size
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Load(bytes.NewReader(data))

@@ -22,7 +22,6 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -31,12 +30,12 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"strings"
 
 	"etalstm/internal/lstm"
 	"etalstm/internal/model"
-	"etalstm/internal/rng"
 )
 
 var (
@@ -50,73 +49,79 @@ var (
 	magicV1     = []byte(string(magicPrefix) + "v1\n")
 )
 
-// payload serializes net's version-independent content — config then
-// weights, the bytes both the digest and the parsers operate on.
-func payload(net *model.Network) ([]byte, error) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	cfg := net.Cfg
-	header := []int64{
-		int64(cfg.InputSize), int64(cfg.Hidden), int64(cfg.Layers),
-		int64(cfg.SeqLen), int64(cfg.Batch), int64(cfg.OutSize), int64(cfg.Loss),
-	}
-	for _, v := range header {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return nil, err
-		}
-	}
+// headerBytes is the payload's leading config section: 7 × int64.
+const headerBytes = 7 * 8
+
+// encBufSize is the encoder's fixed staging buffer.
+const encBufSize = 8 << 10
+
+// weights returns net's parameter slices in payload order: per layer,
+// per gate W, U, B; then the projection and its bias. The encoder and
+// the decoder both walk this list, so the two cannot disagree on order.
+func weights(net *model.Network) [][]float32 {
+	ws := make([][]float32, 0, 3*int(lstm.NumGates)*len(net.Layer)+2)
 	for _, p := range net.Layer {
 		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
-			if err := writeFloats(bw, p.W[g].Data); err != nil {
-				return nil, err
-			}
-			if err := writeFloats(bw, p.U[g].Data); err != nil {
-				return nil, err
-			}
-			if err := writeFloats(bw, p.B[g]); err != nil {
-				return nil, err
-			}
+			ws = append(ws, p.W[g].Data, p.U[g].Data, p.B[g])
 		}
 	}
-	if err := writeFloats(bw, net.Proj.Data); err != nil {
-		return nil, err
+	return append(ws, net.Proj.Data, net.ProjB)
+}
+
+// encode streams net's version-independent payload — config header,
+// then every weight little-endian — to w through one fixed buffer. Save
+// and Digest both go through it, so a stored digest and Digest(net)
+// always hash the same bytes.
+func encode(w io.Writer, net *model.Network) error {
+	buf := make([]byte, encBufSize)
+	cfg := net.Cfg
+	for i, v := range [7]int{cfg.InputSize, cfg.Hidden, cfg.Layers,
+		cfg.SeqLen, cfg.Batch, cfg.OutSize, int(cfg.Loss)} {
+		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
 	}
-	if err := writeFloats(bw, net.ProjB); err != nil {
-		return nil, err
+	n := headerBytes
+	for _, fs := range weights(net) {
+		for _, f := range fs {
+			if n == len(buf) {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				n = 0
+			}
+			binary.LittleEndian.PutUint32(buf[n:], math.Float32bits(f))
+			n += 4
+		}
 	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	_, err := w.Write(buf[:n])
+	return err
 }
 
 // Digest returns the hex SHA-256 content digest of net — the value a
 // v2 checkpoint of net would carry in its header.
 func Digest(net *model.Network) (string, error) {
-	p, err := payload(net)
-	if err != nil {
+	h := sha256.New()
+	if err := encode(h, net); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(p)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// Save writes net to w in the current (v2) format.
+// Save writes net to w in the current (v2) format: one encoding pass
+// into the digest, then one into w and the trailing CRC.
 func Save(w io.Writer, net *model.Network) error {
-	p, err := payload(net)
-	if err != nil {
+	h := sha256.New()
+	if err := encode(h, net); err != nil {
 		return err
 	}
-	sum := sha256.Sum256(p)
 	crc := crc32.NewIEEE()
 	mw := io.MultiWriter(w, crc)
 	if _, err := mw.Write(magic); err != nil {
 		return err
 	}
-	if _, err := mw.Write(sum[:]); err != nil {
+	if _, err := mw.Write(h.Sum(nil)); err != nil {
 		return err
 	}
-	if _, err := mw.Write(p); err != nil {
+	if err := encode(mw, net); err != nil {
 		return err
 	}
 	// Trailing CRC of everything above, written directly (not hashed).
@@ -170,51 +175,71 @@ func verifyRaw(raw []byte) (body []byte, digest string, err error) {
 }
 
 // parsePayload decodes the config+weights section shared by every
-// format version.
+// format version. The body's length must be exactly what the config
+// implies before anything is allocated, so a hostile header cannot make
+// the loader reserve more memory than the file it came in.
 func parsePayload(body []byte) (*model.Network, error) {
-	br := bytes.NewReader(body)
-	header := make([]int64, 7)
-	for i := range header {
-		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("persist: reading header: %w", err)
-		}
+	if len(body) < headerBytes {
+		return nil, fmt.Errorf("persist: reading header: %d of %d bytes", len(body), headerBytes)
+	}
+	var h [7]int
+	for i := range h {
+		h[i] = int(binary.LittleEndian.Uint64(body[8*i:]))
 	}
 	cfg := model.Config{
-		InputSize: int(header[0]), Hidden: int(header[1]), Layers: int(header[2]),
-		SeqLen: int(header[3]), Batch: int(header[4]), OutSize: int(header[5]),
-		Loss: model.LossKind(header[6]),
+		InputSize: h[0], Hidden: h[1], Layers: h[2],
+		SeqLen: h[3], Batch: h[4], OutSize: h[5], Loss: model.LossKind(h[6]),
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: invalid checkpoint config: %w", err)
 	}
-
-	net, err := model.NewNetwork(cfg, rng.New(0))
+	want, ok := payloadLen(cfg)
+	switch {
+	case !ok || want > uint64(len(body)):
+		return nil, fmt.Errorf("persist: reading weights: config %+v implies more than the %d-byte payload",
+			cfg, len(body))
+	case want < uint64(len(body)):
+		return nil, fmt.Errorf("persist: %d trailing bytes after weights", uint64(len(body))-want)
+	}
+	net, err := model.Alloc(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range net.Layer {
-		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
-			if err := readFloats(br, p.W[g].Data); err != nil {
-				return nil, err
-			}
-			if err := readFloats(br, p.U[g].Data); err != nil {
-				return nil, err
-			}
-			if err := readFloats(br, p.B[g]); err != nil {
-				return nil, err
-			}
+	off := headerBytes
+	for _, fs := range weights(net) {
+		for i := range fs {
+			fs[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
+			off += 4
 		}
 	}
-	if err := readFloats(br, net.Proj.Data); err != nil {
-		return nil, err
-	}
-	if err := readFloats(br, net.ProjB); err != nil {
-		return nil, err
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("persist: %d trailing bytes after weights", br.Len())
-	}
 	return net, nil
+}
+
+// payloadLen returns the payload length in bytes a validated cfg
+// implies — header plus 4 bytes per weight — with ok false when the
+// count overflows. Per layer: 4 gates × (in·H + H·H + H), in being
+// InputSize for layer 0 and H above it; then H·Out + Out for the
+// projection.
+func payloadLen(cfg model.Config) (n uint64, ok bool) {
+	ok = true
+	mul := func(a, b uint64) uint64 {
+		hi, lo := bits.Mul64(a, b)
+		ok = ok && hi == 0
+		return lo
+	}
+	add := func(a, b uint64) uint64 {
+		sum, carry := bits.Add64(a, b, 0)
+		ok = ok && carry == 0
+		return sum
+	}
+	in, h := uint64(cfg.InputSize), uint64(cfg.Hidden)
+	layers, out := uint64(cfg.Layers), uint64(cfg.OutSize)
+	gates := uint64(lstm.NumGates)
+	first := mul(mul(gates, h), add(add(in, h), 1))
+	upper := mul(mul(layers-1, mul(gates, h)), add(mul(2, h), 1))
+	proj := mul(out, add(h, 1))
+	floats := add(add(first, upper), proj)
+	return add(headerBytes, mul(4, floats)), ok
 }
 
 // Load reads a network from r, verifying the trailing checksum (and,
@@ -230,6 +255,11 @@ func LoadDigest(r io.Reader) (*model.Network, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("persist: reading checkpoint: %w", err)
 	}
+	return loadRaw(raw)
+}
+
+// loadRaw verifies a whole checkpoint's framing and decodes its network.
+func loadRaw(raw []byte) (*model.Network, string, error) {
 	body, digest, err := verifyRaw(raw)
 	if err != nil {
 		return nil, "", err
@@ -270,26 +300,6 @@ func CheckConfig(got, want model.Config) error {
 	return fmt.Errorf("persist: checkpoint config mismatch: %s", strings.Join(diffs, ", "))
 }
 
-func writeFloats(w io.Writer, fs []float32) error {
-	buf := make([]byte, 4*len(fs))
-	for i, f := range fs {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readFloats(r io.Reader, fs []float32) error {
-	buf := make([]byte, 4*len(fs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("persist: reading weights: %w", err)
-	}
-	for i := range fs {
-		fs[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return nil
-}
-
 // SaveFile writes net to path atomically (temp file + rename).
 func SaveFile(path string, net *model.Network) error {
 	tmp := path + ".tmp"
@@ -311,22 +321,17 @@ func SaveFile(path string, net *model.Network) error {
 
 // LoadFile reads a network from path.
 func LoadFile(path string) (*model.Network, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
+	net, _, err := LoadFileDigest(path)
+	return net, err
 }
 
 // LoadFileDigest reads a network and its content digest from path.
 func LoadFileDigest(path string) (*model.Network, string, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", err
 	}
-	defer f.Close()
-	return LoadDigest(f)
+	return loadRaw(raw)
 }
 
 // DigestFile returns the content digest of the checkpoint at path after

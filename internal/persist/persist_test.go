@@ -3,9 +3,11 @@ package persist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -296,16 +298,7 @@ func TestDigestRoundtrip(t *testing.T) {
 // weights — the identity is stable across the version bump.
 func TestV1BackCompat(t *testing.T) {
 	net := testNet(t)
-	body, err := payload(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := append(append([]byte{}, magicV1...), body...)
-	var out bytes.Buffer
-	out.Write(v1)
-	crcOf(&out, v1)
-
-	got, digest, err := LoadDigest(&out)
+	got, digest, err := LoadDigest(bytes.NewReader(v1Of(t, net)))
 	if err != nil {
 		t.Fatalf("v1 checkpoint failed to load: %v", err)
 	}
@@ -318,6 +311,86 @@ func TestV1BackCompat(t *testing.T) {
 	}
 	if digest != want {
 		t.Fatalf("v1 digest %s != v2 digest %s for identical weights", digest, want)
+	}
+}
+
+// v1Of frames net as a legacy v1 checkpoint: the v2 body without the
+// digest field, under the v1 magic, CRC re-sealed.
+func v1Of(t testing.TB, net *model.Network) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, net); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	v1 := append(append([]byte{}, magicV1...), raw[len(magic)+sha256.Size:len(raw)-4]...)
+	var out bytes.Buffer
+	out.Write(v1)
+	crcOf(&out, v1)
+	return out.Bytes()
+}
+
+// craftedCheckpoint returns a well-sealed v2 checkpoint (valid CRC and
+// digest) whose header claims the given hidden size over a one-float
+// body: 105 bytes whose header claims far more weights than they carry.
+func craftedCheckpoint(hidden int64) []byte {
+	body := make([]byte, headerBytes+4)
+	for i, v := range []int64{1, hidden, 1, 1, 1, 1, int64(model.SingleLoss)} {
+		binary.LittleEndian.PutUint64(body[8*i:], uint64(v))
+	}
+	sum := sha256.Sum256(body)
+	pay := append(append(append([]byte{}, magic...), sum[:]...), body...)
+	var out bytes.Buffer
+	out.Write(pay)
+	crcOf(&out, pay)
+	return out.Bytes()
+}
+
+// TestLoadRejectsOversizedConfig: a checkpoint whose header implies
+// more weights than the file carries is rejected before anything of
+// the claimed size is allocated — 1<<40 overflows the weight count,
+// 1<<20 implies a 16 TiB payload without overflowing.
+func TestLoadRejectsOversizedConfig(t *testing.T) {
+	for _, hidden := range []int64{1 << 40, 1 << 20} {
+		raw := craftedCheckpoint(hidden)
+		if len(raw) != 105 {
+			t.Fatalf("crafted checkpoint is %d bytes, want 105", len(raw))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net, err := Load(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("Hidden %d: loaded a %+v network from 105 bytes", hidden, net.Cfg)
+		}
+		if !strings.Contains(err.Error(), "implies more") {
+			t.Fatalf("Hidden %d: err %v, want a payload-length error", hidden, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("Hidden %d: rejecting allocated %d bytes, want < 1 MiB", hidden, got)
+		}
+	}
+}
+
+// TestPayloadLenMatchesEncoder pins the closed-form length check to the
+// bytes the encoder actually writes, across layer counts and widths.
+func TestPayloadLenMatchesEncoder(t *testing.T) {
+	for _, cfg := range []model.Config{
+		{InputSize: 1, Hidden: 1, Layers: 1, SeqLen: 1, Batch: 1, OutSize: 1},
+		{InputSize: 5, Hidden: 7, Layers: 2, SeqLen: 4, Batch: 3, OutSize: 6, Loss: model.PerTimestampLoss},
+		{InputSize: 9, Hidden: 3, Layers: 4, SeqLen: 2, Batch: 1, OutSize: 2, Loss: model.RegressionLoss},
+	} {
+		net, err := model.NewNetwork(cfg, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := encode(&buf, net); err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := payloadLen(cfg); !ok || n != uint64(buf.Len()) {
+			t.Fatalf("%+v: payloadLen %d (ok %v), encoder wrote %d", cfg, n, ok, buf.Len())
+		}
 	}
 }
 

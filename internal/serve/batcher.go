@@ -51,13 +51,13 @@ var pendingPool = sync.Pool{
 // batcher coalesces concurrent submissions into dense micro-batches.
 //
 // State machine (DESIGN.md §9): requests are admitted into a bounded
-// queue (`in`); a single collector goroutine accumulates them into the
-// forming batch and flushes it to the worker pool when either (a) the
-// batch reaches MaxBatch, or (b) Window has elapsed since the batch's
-// first request arrived. Each worker owns a private tensor.Workspace
-// and runs the flushed group through one Network.InferBatch sweep —
-// the weights are shared read-only, so the pool serves one checkpoint
-// without cloning it.
+// queue (`in`); a single collector goroutine offers the forming batch
+// to the worker pool as soon as it opens (or once an explicit Window
+// has elapsed since its first request) and keeps growing it, up to
+// MaxBatch, while no worker is free to take it. Each worker owns a
+// private tensor.Workspace and runs the group it takes through one
+// Network.InferBatch sweep — the weights are shared read-only, so the
+// pool serves one checkpoint without cloning it.
 type batcher struct {
 	net  *model.Network
 	opts Options
@@ -137,59 +137,62 @@ func (b *batcher) submit(ctx context.Context, seq model.InferSeq) (model.InferOu
 // depth reports the admitted-but-uncollected queue length.
 func (b *batcher) depth() int { return len(b.in) }
 
-// collect is the single goroutine that forms micro-batches: flush on
-// size or on the window deadline measured from the batch's first
-// member. It exits (flushing the final partial batch) when drain closes
-// the admission queue.
+// collect is the single goroutine that forms micro-batches. A group
+// opens with the first request to arrive. With an explicit Window the
+// group first waits up to Window for company; then (at once when Window
+// is 0) it is offered to the workers, and while every worker is busy
+// the collector keeps appending arrivals to the offered group. A group
+// stops taking arrivals at MaxBatch. The collector exits, handing off
+// the final group, when drain closes the admission queue.
 func (b *batcher) collect() {
 	defer b.wg.Done()
 	defer close(b.work)
-	var group []*pending
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false
-	flush := func() {
-		if armed && !timer.Stop() {
-			// The timer fired concurrently with a size-based flush;
-			// drain the stale tick so the next Reset starts clean.
+	var timer *time.Timer
+	if b.opts.Window > 0 {
+		timer = time.NewTimer(b.opts.Window)
+		if !timer.Stop() {
 			<-timer.C
 		}
-		armed = false
-		if len(group) > 0 {
-			b.work <- group
-			group = nil
-		}
 	}
-	for {
-		if len(group) == 0 {
-			p, ok := <-b.in
-			if !ok {
-				return
-			}
-			group = append(group, p)
-			if len(group) >= b.opts.MaxBatch {
-				flush()
-				continue
-			}
-			timer.Reset(b.opts.Window)
-			armed = true
-			continue
+	closed := false
+	for !closed {
+		p, ok := <-b.in
+		if !ok {
+			return
 		}
-		select {
-		case p, ok := <-b.in:
-			if !ok {
-				flush()
-				return
+		group := []*pending{p}
+		var wait <-chan time.Time // non-nil while the window is open
+		if timer != nil {
+			timer.Reset(b.opts.Window)
+			wait = timer.C
+		}
+		for group != nil {
+			// Nil channels switch select cases off: a full group (or a
+			// closed queue) takes no arrivals and stops waiting; an open
+			// window holds the group back from the workers.
+			in, work := b.in, b.work
+			if closed || len(group) >= b.opts.MaxBatch {
+				in = nil
+				if wait != nil && !timer.Stop() {
+					<-timer.C
+				}
+				wait = nil
 			}
-			group = append(group, p)
-			if len(group) >= b.opts.MaxBatch {
-				flush()
+			if wait != nil {
+				work = nil
 			}
-		case <-timer.C:
-			armed = false
-			flush()
+			select {
+			case work <- group:
+				group = nil
+			case p, ok := <-in:
+				if ok {
+					group = append(group, p)
+				} else {
+					closed = true
+				}
+			case <-wait:
+				wait = nil
+			}
 		}
 	}
 }

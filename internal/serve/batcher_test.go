@@ -291,3 +291,114 @@ func TestBatcherWindowFlush(t *testing.T) {
 		t.Fatalf("lone submit never flushed: %v", err)
 	}
 }
+
+// collectorOnly starts a batcher's collector with no workers, so the
+// test reads b.work itself. The returned stop closes the admission
+// queue and discards whatever the collector still offers.
+func collectorOnly(t *testing.T, opts Options) (b *batcher, push func(), stop func()) {
+	t.Helper()
+	opts = opts.withDefaults()
+	b = &batcher{
+		net: testNet(t), opts: opts, m: newMetrics(opts.MaxBatch),
+		in:   make(chan *pending, opts.QueueCap),
+		work: make(chan []*pending),
+	}
+	b.wg.Add(1)
+	go b.collect()
+	push = func() {
+		b.in <- &pending{ctx: context.Background(), done: make(chan outcome, 1), enq: time.Now()}
+	}
+	stop = func() {
+		close(b.in)
+		for range b.work {
+		}
+		b.wg.Wait()
+	}
+	return b, push, stop
+}
+
+// offered receives the next group the collector offers, failing the
+// test if none comes within a second.
+func offered(t *testing.T, b *batcher) []*pending {
+	t.Helper()
+	select {
+	case g := <-b.work:
+		return g
+	case <-time.After(time.Second):
+		t.Fatal("collector offered no group within 1s")
+		return nil
+	}
+}
+
+// TestBatcherWorkConserving pins the collector's dispatch rules.
+func TestBatcherWorkConserving(t *testing.T) {
+	t.Run("lone request offered at once", func(t *testing.T) {
+		b, push, stop := collectorOnly(t, Options{MaxBatch: 8})
+		defer stop()
+		if b.opts.Window != 0 {
+			t.Fatalf("default Window %v, want 0", b.opts.Window)
+		}
+		// Best of five hand-offs: scheduler noise only ever adds time,
+		// and a collector that waited out any window would never get
+		// under a millisecond.
+		best := time.Hour
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			push()
+			g := offered(t, b)
+			if len(g) != 1 {
+				t.Fatalf("lone request offered in a group of %d", len(g))
+			}
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		if best >= time.Millisecond {
+			t.Fatalf("lone request took %v to be offered, want < 1ms", best)
+		}
+	})
+
+	t.Run("arrivals join the offered group up to MaxBatch", func(t *testing.T) {
+		const maxBatch, extra = 4, 2
+		b, push, stop := collectorOnly(t, Options{MaxBatch: maxBatch})
+		defer stop()
+		// The first request is offered to nobody; everything that
+		// arrives meanwhile must ride along with it.
+		push()
+		time.Sleep(5 * time.Millisecond)
+		for i := 1; i < maxBatch+extra; i++ {
+			push()
+		}
+		deadline := time.Now().Add(time.Second)
+		for len(b.in) > extra && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if g := offered(t, b); len(g) != maxBatch {
+			t.Fatalf("first group has %d requests, want MaxBatch %d", len(g), maxBatch)
+		}
+		got := 0
+		for got < extra {
+			got += len(offered(t, b))
+		}
+		if got != extra {
+			t.Fatalf("remaining groups carry %d requests, want %d", got, extra)
+		}
+	})
+
+	t.Run("explicit window waits for company", func(t *testing.T) {
+		const window = 50 * time.Millisecond
+		b, push, stop := collectorOnly(t, Options{MaxBatch: 8, Window: window})
+		defer stop()
+		start := time.Now()
+		push()
+		time.Sleep(5 * time.Millisecond)
+		push()
+		g := offered(t, b)
+		if len(g) != 2 {
+			t.Fatalf("two requests 5ms apart formed a group of %d, want 2", len(g))
+		}
+		if d := time.Since(start); d < window {
+			t.Fatalf("group offered after %v, before the %v window closed", d, window)
+		}
+	})
+}

@@ -3,8 +3,9 @@
 // classification / regression inference over HTTP+JSON or in-process
 // calls, with a dynamic micro-batcher at its core.
 //
-// Concurrent requests are coalesced — flush on max batch size or a
-// deadline window — into single batched InferBatch sweeps through a
+// Concurrent requests are coalesced — a batch is offered to the
+// workers at once and grows, up to its size cap, while they are all
+// busy — into single batched InferBatch sweeps through a
 // worker pool whose members each own a tensor.Workspace arena and share
 // the checkpoint's weights read-only. Per-request inference footprint
 // is tiny (the cache-free FW cell stores nothing), so throughput scales
@@ -47,12 +48,13 @@ var ErrNotReady = errors.New("serve: no checkpoint loaded")
 // Options tunes a Server; zero values select production-sensible
 // defaults.
 type Options struct {
-	// MaxBatch is the flush size of the micro-batcher (0 = 32): a
-	// forming batch is dispatched as soon as it reaches this many
-	// requests.
+	// MaxBatch caps the micro-batch size (0 = 32): a batch takes no
+	// more requests once it holds this many.
 	MaxBatch int
-	// Window is the flush deadline (0 = 2ms): a forming batch waits at
-	// most this long for company before dispatching partial.
+	// Window is how long a forming batch waits for company before it
+	// is offered to the workers (0 = dispatch as soon as a worker is
+	// free). Whatever the window, a batch keeps growing up to MaxBatch
+	// while every worker is busy.
 	Window time.Duration
 	// QueueCap bounds the admission queue (0 = 8×MaxBatch); submissions
 	// beyond it are shed with ErrQueueFull.
@@ -96,9 +98,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.Window <= 0 {
-		o.Window = 2 * time.Millisecond
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 8 * o.MaxBatch
