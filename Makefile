@@ -49,6 +49,7 @@ bench-smoke:
 # per invocation). -fuzzminimizetime=1x keeps the budget spent on
 # exploration instead of input minimization.
 fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitwise -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/compress
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzGradCheck -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/check
@@ -72,6 +73,7 @@ cover:
 		if [ "$$ok" != 1 ]; then echo "cover: $$1 at $$pct% is below the $$2% floor"; exit 1; fi; \
 		echo "cover: $$1 $$pct% (floor $$2%)"; \
 	}; \
+	check ./internal/tensor 86; \
 	check ./internal/lstm 85; \
 	check ./internal/model 85; \
 	check ./internal/core 85; \

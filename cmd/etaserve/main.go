@@ -25,8 +25,8 @@ import (
 	"os/signal"
 	"syscall"
 
-	"etalstm"
 	"etalstm/internal/obs"
+	"etalstm/internal/persist"
 	"etalstm/internal/rtrace"
 	"etalstm/internal/serve"
 )
@@ -90,12 +90,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *ckpt == "" {
 		return fmt.Errorf("-ckpt is required (or use -loadgen)")
 	}
-	net_, err := etalstm.LoadNetwork(*ckpt)
+	// The loader verifies the file against its content digest; handing
+	// that digest to the server spares a second encode-and-hash.
+	net_, digest, err := persist.LoadFileDigest(*ckpt)
 	if err != nil {
 		return err
 	}
 	cfg := net_.Cfg
-	sopts := etalstm.ServeOptions{
+	sopts := serve.Options{
 		MaxBatch: *maxBatch, Window: *window, QueueCap: *queue, Workers: *workers,
 		SessionTTL: *ttl, RequestTimeout: *timeout, EnablePprof: *pprofOn,
 		EnableAdmin: *adminOn, Log: obs.NewLogger(os.Stderr),
@@ -104,7 +106,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		sopts.Tracer = rtrace.New(rtrace.Options{Process: "etaserve"})
 		defer sopts.Tracer.DumpOnSignal(os.Stderr)()
 	}
-	s := etalstm.NewServer(net_, sopts)
+	s := serve.New(net_, digest, sopts)
 	if *pprofOn {
 		fmt.Fprintln(w, "pprof enabled under /debug/pprof/")
 	}

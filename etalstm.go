@@ -512,7 +512,7 @@ type InferResult = serve.Result
 // NewServer builds an inference server around a trained network. The
 // caller owns shutdown: either cancel the context given to
 // Server.Serve or call Server.Close.
-func NewServer(net *Network, opts ServeOptions) *Server { return serve.New(net, opts) }
+func NewServer(net *Network, opts ServeOptions) *Server { return serve.New(net, "", opts) }
 
 // Infer answers a batch of variable-length sequences in one packed
 // sweep — the library-level entry to the serving path, without the

@@ -39,7 +39,7 @@ func realReplica(t testing.TB, net *model.Network, opts serve.Options) (*serve.S
 	if opts.Window == 0 {
 		opts.Window = time.Millisecond
 	}
-	s := serve.New(net, opts)
+	s := serve.New(net, "", opts)
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		hs.Close()

@@ -30,6 +30,25 @@ func BenchmarkForwardH256B32(b *testing.B) {
 	}
 }
 
+// BenchmarkForwardH64B16 is one FW cell of the train_dense benchmark
+// workload's upper layers (IMDB scaled to H=64, batch 16, input = H),
+// mid-sequence: the context and cell state are non-zero, so the
+// hPrev·U_g products run in full.
+func BenchmarkForwardH64B16(b *testing.B) {
+	p, x, h, s := benchSetup(64, 16)
+	r := rng.New(3)
+	h.RandInit(r, 0.5)
+	s.RandInit(r, 0.5)
+	ws := tensor.NewWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hOut, _, cache := Forward(ws, p, x, h, s)
+		ws.Put(hOut)
+		cache.Release(ws)
+	}
+}
+
 func BenchmarkComputeP1H256B32(b *testing.B) {
 	p, x, h, s := benchSetup(256, 32)
 	ws := tensor.NewWorkspace()

@@ -78,44 +78,50 @@ func getFWCache(ws *tensor.Workspace) *FWCache {
 // cell will consume. x, hPrev and sPrev are retained by the cache, not
 // copied; callers must not mutate them afterwards.
 //
-// All scratch (the raw gate pre-activations) is drawn from ws and
-// released before returning — the raw gates live only inside the FW
-// cell, mirroring MS1's early-consume. h, s and the cache's owned
-// buffers come from ws too; the caller (or cache.Release) returns them
-// when their lifetime ends. ws may be nil, degrading every Get to a
-// plain allocation.
+// FW-MatMul is the eight per-gate products x·W_g and hPrev·U_g. FW-EW
+// is then one pass over (row, j) that forms every gate as
+// act((x·W_g + hPrev·U_g) + b_g), the cell state s = f⊙s' + i⊙c̃ and
+// h = o⊙tanh(s) — the per-gate expressions in the per-gate order, so
+// the pass is bitwise what separate adds, bias passes and activation
+// passes compute.
+//
+// The eight products are scratch drawn from ws and released before
+// returning — the raw gates live only inside the FW cell, mirroring
+// MS1's early-consume. h, s and the cache's owned buffers come from ws
+// too; the caller (or cache.Release) returns them when their lifetime
+// ends. ws may be nil, degrading every Get to a plain allocation.
 func Forward(ws *tensor.Workspace, p *Params, x, hPrev, sPrev *tensor.Matrix) (h, s *tensor.Matrix, cache *FWCache) {
 	sp := ws.Recorder().Begin(obs.PhaseFW)
-	batch := x.Rows
-	var raw [NumGates]*tensor.Matrix
-	uh := ws.Get(batch, p.Hidden)
+	batch, n := x.Rows, p.Hidden
+	var xw, hu [NumGates]*tensor.Matrix
 	for g := Gate(0); g < NumGates; g++ {
-		// FW-MatMul: raw_g = x·W_g + hPrev·U_g + b_g
-		raw[g] = tensor.MatMul(ws.Get(batch, p.Hidden), x, p.W[g])
-		tensor.MatMul(uh, hPrev, p.U[g])
-		tensor.AddInPlace(raw[g], uh)
-		tensor.AddRowVector(raw[g], raw[g], p.B[g])
+		xw[g] = tensor.MatMul(ws.Get(batch, n), x, p.W[g])
+		hu[g] = tensor.MatMul(ws.Get(batch, n), hPrev, p.U[g])
 	}
-	ws.Put(uh)
+	xf, xi, xc, xo := xw[GateF].Data, xw[GateI].Data, xw[GateC].Data, xw[GateO].Data
+	hf, hi, hc, ho := hu[GateF].Data, hu[GateI].Data, hu[GateC].Data, hu[GateO].Data
 
-	// FW-EW: activations consume the raw gates, which free-on-consume.
-	f := tensor.Sigmoid(ws.Get(batch, p.Hidden), raw[GateF])
-	ws.Put(raw[GateF])
-	i := tensor.Sigmoid(ws.Get(batch, p.Hidden), raw[GateI])
-	ws.Put(raw[GateI])
-	cg := tensor.Tanh(ws.Get(batch, p.Hidden), raw[GateC])
-	ws.Put(raw[GateC])
-	o := tensor.Sigmoid(ws.Get(batch, p.Hidden), raw[GateO])
-	ws.Put(raw[GateO])
-
-	s = ws.Get(batch, p.Hidden)
-	for k := range s.Data {
-		s.Data[k] = f.Data[k]*sPrev.Data[k] + i.Data[k]*cg.Data[k]
+	f := ws.Get(batch, n)
+	i := ws.Get(batch, n)
+	cg := ws.Get(batch, n)
+	o := ws.Get(batch, n)
+	s = ws.Get(batch, n)
+	h = ws.Get(batch, n)
+	bf, bi, bc, bo := p.B[GateF][:n], p.B[GateI][:n], p.B[GateC][:n], p.B[GateO][:n]
+	for r := 0; r < batch; r++ {
+		for j := 0; j < n; j++ {
+			k := r*n + j
+			fv := tensor.Sigmoid32((xf[k] + hf[k]) + bf[j])
+			iv := tensor.Sigmoid32((xi[k] + hi[k]) + bi[j])
+			cv := tensor.Tanh32((xc[k] + hc[k]) + bc[j])
+			ov := tensor.Sigmoid32((xo[k] + ho[k]) + bo[j])
+			sv := fv*sPrev.Data[k] + iv*cv
+			f.Data[k], i.Data[k], cg.Data[k], o.Data[k], s.Data[k] = fv, iv, cv, ov, sv
+			h.Data[k] = ov * tensor.Tanh32(sv)
+		}
 	}
-	h = ws.Get(batch, p.Hidden)
-	for k := range h.Data {
-		h.Data[k] = o.Data[k] * tensor.Tanh32(s.Data[k])
-	}
+	ws.PutAll(xw[:]...)
+	ws.PutAll(hu[:]...)
 
 	cache = getFWCache(ws)
 	*cache = FWCache{X: x, HPrev: hPrev, SPrev: sPrev, F: f, I: i, C: cg, O: o, S: s}

@@ -238,3 +238,22 @@ func BenchmarkInferBatchPacked(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkInferBatchWarm is the serve_mixed benchmark workload's warm
+// request: one 32-step sequence through the IMDB geometry it serves
+// (input 16, H=64, 3 layers), on a warm workspace.
+func BenchmarkInferBatchWarm(b *testing.B) {
+	cfg := Config{InputSize: 16, Hidden: 64, Layers: 3, SeqLen: 32, Batch: 1, OutSize: 2, Loss: SingleLoss}
+	net, err := NewNetwork(cfg, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := []InferSeq{{Inputs: randomSeq(rng.New(2), 32, cfg.InputSize)}}
+	ws := tensor.NewWorkspace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.InferBatch(ws, reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

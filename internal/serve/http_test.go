@@ -17,7 +17,7 @@ import (
 
 func testServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(testNet(t), opts)
+	s := New(testNet(t), "", opts)
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		hs.Close()
@@ -266,7 +266,7 @@ func TestHTTPDrainingHealth(t *testing.T) {
 // serve traffic, cancel the context, and verify the drain completes
 // with all in-flight work answered.
 func TestServeGracefulShutdown(t *testing.T) {
-	s := New(testNet(t), Options{MaxBatch: 8, Window: time.Millisecond})
+	s := New(testNet(t), "", Options{MaxBatch: 8, Window: time.Millisecond})
 	ln, err := newLocalListener()
 	if err != nil {
 		t.Fatal(err)

@@ -44,11 +44,33 @@ func altNet(t testing.TB, seed uint64) *model.Network {
 	return net
 }
 
+// TestNewDigest pins New's digest argument: a given digest is what
+// Generation reports (New trusts the loader that verified it and does
+// not re-hash), and "" makes New compute persist.Digest itself.
+func TestNewDigest(t *testing.T) {
+	net := testNet(t)
+	want, err := persist.Digest(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ given, want string }{
+		{"", want},
+		{"given-digest", "given-digest"},
+	} {
+		s := New(net, c.given, Options{})
+		seq, got := s.Generation()
+		s.Close(context.Background())
+		if seq != 1 || got != c.want {
+			t.Errorf("New(net, %q): Generation() = %d, %q; want 1, %q", c.given, seq, got, c.want)
+		}
+	}
+}
+
 // TestReloadZeroDrop is the hot-swap acceptance test: concurrent
 // inference traffic across several checkpoint swaps completes with
 // zero dropped (errored) requests, and the generation/digest advance.
 func TestReloadZeroDrop(t *testing.T) {
-	s := New(testNet(t), Options{MaxBatch: 4, Window: time.Millisecond})
+	s := New(testNet(t), "", Options{MaxBatch: 4, Window: time.Millisecond})
 	defer s.Close(context.Background())
 	_, d0 := s.Generation()
 
@@ -101,7 +123,7 @@ func TestReloadZeroDrop(t *testing.T) {
 // TestReloadIncompatibleRejected: a checkpoint with a different serving
 // geometry must be refused (live sessions would hold mis-shaped state).
 func TestReloadIncompatibleRejected(t *testing.T) {
-	s := New(testNet(t), Options{MaxBatch: 4, Window: time.Millisecond})
+	s := New(testNet(t), "", Options{MaxBatch: 4, Window: time.Millisecond})
 	defer s.Close(context.Background())
 
 	cfg := model.Config{InputSize: 4, Hidden: 16, Layers: 2, SeqLen: 8, Batch: 1,

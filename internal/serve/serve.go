@@ -222,9 +222,13 @@ func NewStandby(opts Options) *Server {
 
 // New builds a server around net. The network's weights are treated as
 // read-only from here on; training it concurrently is not supported.
-func New(net *model.Network, opts Options) *Server {
+// digest is net's content digest, as persist.LoadFileDigest returns it
+// alongside the network it verified; "" computes it here.
+func New(net *model.Network, digest string, opts Options) *Server {
 	s := NewStandby(opts)
-	digest, _ := persist.Digest(net)
+	if digest == "" {
+		digest, _ = persist.Digest(net)
+	}
 	s.install(&generation{net: net, b: newBatcher(net, s.opts, s.m), digest: digest, seq: 1})
 	return s
 }

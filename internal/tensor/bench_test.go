@@ -61,7 +61,9 @@ func BenchmarkSigmoid(b *testing.B) {
 	dst := New(128, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sigmoid(dst, x)
+		for j, v := range x.Data {
+			dst.Data[j] = Sigmoid32(v)
+		}
 	}
 }
 

@@ -123,10 +123,10 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 			dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	dst.Zero()
-	// ikj loop order: streams b rows, keeps dst row hot. Rows of a are
-	// independent, so large products shard across workers. The serial
-	// branch calls the span directly: building the closure only on the
-	// parallel path keeps small products allocation-free.
+	// Rows of a are independent, so large products shard across
+	// workers. The serial branch calls the span directly: building the
+	// closure only on the parallel path keeps small products
+	// allocation-free.
 	flops := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
 	if serialRows(a.Rows, flops) {
 		matmulSpan(dst, a, b, 0, a.Rows)
@@ -136,19 +136,52 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
+// matmulSpan accumulates rows [lo, hi) of a·b into dst.
+//
+// k runs in blocks of four. For each block the b rows are located once
+// and every row of the span takes its turn, so a batch shares that
+// set-up. Where a row's four a values in the block are all non-zero,
+// one pass computes d[j] = d[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] +
+// a3·b3[j]. Go evaluates that sum left to right, and on amd64
+// (GOAMD64=v1) every float32 operation rounds and none fuses, so each
+// dst element receives the same rounded additions in the same k order
+// as the plain ikj loop — the result is bitwise equal, with one load
+// and store of dst per block instead of per k. A block with any zero,
+// and the K mod 4 tail, take the per-k loop that skips zero a values,
+// as the plain loop does: always adding 0·b would turn a 0·Inf or 0·NaN
+// the plain loop never computes into a NaN in dst. (A dst element that
+// is NaN stays NaN either way; Go leaves NaN payloads unspecified.)
 func matmulSpan(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
+	n := b.Cols
+	for k, w := 0, 0; k < a.Cols; k += w {
+		w = min(4, a.Cols-k)
+		bk := b.Data[k*n : (k+w)*n]
+		for i := lo; i < hi; i++ {
+			ak := a.Data[i*a.Cols+k:][:w]
+			d := dst.Data[i*n:][:n]
+			if w < 4 || ak[0] == 0 || ak[1] == 0 || ak[2] == 0 || ak[3] == 0 {
+				axpyRows(d, ak, b, k)
 				continue
 			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				drow[j] += av * bv
+			a0, a1, a2, a3 := ak[0], ak[1], ak[2], ak[3]
+			b0, b1, b2, b3 := bk[:len(d)], bk[n:][:len(d)], bk[2*n:][:len(d)], bk[3*n:][:len(d)]
+			for j := range d {
+				d[j] = d[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 			}
+		}
+	}
+}
+
+// axpyRows adds av·b.Row(k0+kk) to d for each av = a[kk], skipping
+// zero av: the plain ikj inner loop over rows k0 … k0+len(a)-1 of b.
+func axpyRows(d, a []float32, b *Matrix, k0 int) {
+	for kk, av := range a {
+		if av == 0 {
+			continue
+		}
+		brow := b.Row(k0 + kk)[:len(d)]
+		for j, bv := range brow {
+			d[j] += av * bv
 		}
 	}
 }
@@ -363,44 +396,18 @@ func SumRows(vec []float32, a *Matrix) {
 	}
 }
 
-// Sigmoid computes dst = σ(a) element-wise.
-func Sigmoid(dst, a *Matrix) *Matrix {
-	if dst == nil {
-		dst = New(a.Rows, a.Cols)
-	}
-	dst.mustSameShape(a, "Sigmoid dst")
-	for i, av := range a.Data {
-		dst.Data[i] = sigmoid32(av)
-	}
-	return dst
-}
-
-// Tanh computes dst = tanh(a) element-wise.
-func Tanh(dst, a *Matrix) *Matrix {
-	if dst == nil {
-		dst = New(a.Rows, a.Cols)
-	}
-	dst.mustSameShape(a, "Tanh dst")
-	for i, av := range a.Data {
-		dst.Data[i] = tanh32(av)
-	}
-	return dst
-}
-
-func sigmoid32(x float32) float32 {
+// Sigmoid32 is the logistic σ(x) of the LSTM's f, i and o gates,
+// evaluated in float64 and rounded once to float32. The hardware
+// activation LUT validates against it.
+func Sigmoid32(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }
 
-func tanh32(x float32) float32 {
+// Tanh32 is tanh(x) of the cell gate c̃ and the cell output, evaluated
+// in float64 and rounded once to float32.
+func Tanh32(x float32) float32 {
 	return float32(math.Tanh(float64(x)))
 }
-
-// Sigmoid32 exposes the scalar sigmoid for callers that operate on raw
-// values (the hardware activation LUT validates against it).
-func Sigmoid32(x float32) float32 { return sigmoid32(x) }
-
-// Tanh32 exposes the scalar tanh.
-func Tanh32(x float32) float32 { return tanh32(x) }
 
 // AbsSum returns Σ|a_ij| — the "magnitude" statistic the paper uses for
 // per-cell weight gradients (Fig. 8).

@@ -195,17 +195,14 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 }
 
 func TestSigmoidTanhValues(t *testing.T) {
-	a := NewFromData(1, 3, []float32{0, 100, -100})
-	s := Sigmoid(nil, a)
-	if math.Abs(float64(s.Data[0])-0.5) > 1e-6 {
-		t.Fatalf("sigmoid(0)=%v", s.Data[0])
+	if v := Sigmoid32(0); math.Abs(float64(v)-0.5) > 1e-6 {
+		t.Fatalf("sigmoid(0)=%v", v)
 	}
-	if s.Data[1] < 0.999 || s.Data[2] > 0.001 {
-		t.Fatalf("sigmoid saturation: %v", s.Data)
+	if hi, lo := Sigmoid32(100), Sigmoid32(-100); hi < 0.999 || lo > 0.001 {
+		t.Fatalf("sigmoid saturation: %v, %v", hi, lo)
 	}
-	th := Tanh(nil, a)
-	if th.Data[0] != 0 || th.Data[1] < 0.999 || th.Data[2] > -0.999 {
-		t.Fatalf("tanh: %v", th.Data)
+	if z, hi, lo := Tanh32(0), Tanh32(100), Tanh32(-100); z != 0 || hi < 0.999 || lo > -0.999 {
+		t.Fatalf("tanh: %v, %v, %v", z, hi, lo)
 	}
 }
 
@@ -213,9 +210,8 @@ func TestSigmoidRange(t *testing.T) {
 	r := rng.New(6)
 	a := New(10, 10)
 	a.RandInit(r, 20)
-	s := Sigmoid(nil, a)
-	for _, v := range s.Data {
-		if v < 0 || v > 1 {
+	for _, x := range a.Data {
+		if v := Sigmoid32(x); v < 0 || v > 1 {
 			t.Fatalf("sigmoid out of (0,1): %v", v)
 		}
 	}
