@@ -29,9 +29,12 @@ test:
 # churn, hot-swap rolls under load), the request tracer (spans
 # finishing on worker goroutines while HTTP handlers read the ring),
 # and the checkpoint codec (loaded and digested from reload handlers
-# while sweeps run).
+# while sweeps run). The InferBatch tests run again at GOMAXPROCS 1, 2
+# and 4: the layer wavefront's handoff must hold with fewer, as many
+# and more threads than layers.
 race:
 	$(GO) test -race ./internal/core ./internal/tensor ./internal/lstm ./internal/model ./internal/check ./internal/skip ./internal/train ./internal/serve ./internal/obs ./internal/memplan ./internal/dist ./internal/fleet ./internal/rtrace ./internal/persist .
+	$(GO) test -race -cpu 1,2,4 -run 'TestInferBatch' ./internal/model
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"etalstm/internal/rng"
@@ -254,6 +255,180 @@ func BenchmarkInferBatchWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := net.InferBatch(ws, reqs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// wavefrontNet builds a network whose sweeps cross the kernels' fan-out
+// threshold from five row-steps on (13 312 MACs per row-step at two
+// layers), so at Workers > 1 they run as a layer wavefront.
+func wavefrontNet(t testing.TB, layers int) *Network {
+	t.Helper()
+	cfg := Config{InputSize: 8, Hidden: 32, Layers: layers, SeqLen: 9, Batch: 1, OutSize: 3, Loss: SingleLoss}
+	net, err := NewNetwork(cfg, rng.New(uint64(40+layers)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// wavefrontReqs builds batch requests of mixed lengths in 1..9: the
+// first is 9 steps long, the second (when there is one) a single step,
+// and every third carries a random state in.
+func wavefrontReqs(net *Network, batch int, r *rng.RNG) []InferSeq {
+	cfg := net.Cfg
+	reqs := make([]InferSeq, batch)
+	for i := range reqs {
+		steps := 1 + r.Intn(9)
+		switch i {
+		case 0:
+			steps = 9
+		case 1:
+			steps = 1
+		}
+		reqs[i].Inputs = randomSeq(r, steps, cfg.InputSize)
+		if i%3 == 2 {
+			st := &VecState{}
+			for l := 0; l < cfg.Layers; l++ {
+				st.H = append(st.H, randomSeq(r, 1, cfg.Hidden)[0])
+				st.S = append(st.S, randomSeq(r, 1, cfg.Hidden)[0])
+			}
+			reqs[i].State = st
+		}
+	}
+	return reqs
+}
+
+// sameInferOuts reports the first bitwise difference between two
+// results, "" when there is none.
+func sameInferOuts(got, want []InferOut) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d results, want %d", len(got), len(want))
+	}
+	same := func(a, b []float32) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := range want {
+		if !same(got[i].Output, want[i].Output) {
+			return fmt.Sprintf("request %d output", i)
+		}
+		for l := range want[i].State.H {
+			if !same(got[i].State.H[l], want[i].State.H[l]) || !same(got[i].State.S[l], want[i].State.S[l]) {
+				return fmt.Sprintf("request %d layer %d state", i, l)
+			}
+		}
+	}
+	return ""
+}
+
+// TestInferBatchWavefrontBitwise is the wavefront's bitwise matrix:
+// every kernel worker count, depth, batch size and arena choice gives
+// the outputs and carried-out states of the one-worker schedule, which
+// in turn match the training forward (ForwardCheckpointed) request by
+// request. With more than one worker and more than one layer the sweep
+// must actually have run on the stage arenas.
+func TestInferBatchWavefrontBitwise(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	r := rng.New(17)
+	for _, layers := range []int{1, 2, 3, 5} {
+		net := wavefrontNet(t, layers)
+		for _, batch := range []int{1, 2, 7, 33} {
+			reqs := wavefrontReqs(net, batch, r)
+			tensor.SetWorkers(1)
+			want, err := net.InferBatch(nil, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range reqs {
+				out, st := referenceInfer(t, net, reqs[i])
+				ref := InferOut{Output: out, State: &VecState{}}
+				for l := 0; l < layers; l++ {
+					ref.State.H = append(ref.State.H, st.H[l].Row(0))
+					ref.State.S = append(ref.State.S, st.S[l].Row(0))
+				}
+				if d := sameInferOuts(want[i:i+1], []InferOut{ref}); d != "" {
+					t.Fatalf("layers=%d batch=%d: one-worker sweep differs from ForwardCheckpointed at request %d: %s",
+						layers, batch, i, d)
+				}
+			}
+			for _, workers := range []int{1, 2, 4} {
+				tensor.SetWorkers(workers)
+				for _, ws := range []*tensor.Workspace{nil, tensor.NewWorkspace()} {
+					// The second pass runs on a warm arena.
+					for pass := 0; pass < 2; pass++ {
+						got, err := net.InferBatch(ws, reqs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d := sameInferOuts(got, want); d != "" {
+							t.Fatalf("layers=%d batch=%d workers=%d arena=%v pass %d: %s differs from the one-worker schedule",
+								layers, batch, workers, ws != nil, pass, d)
+						}
+					}
+					if ws == nil {
+						continue
+					}
+					staged := ws.Stage(0).Stats().Gets > 0
+					if wantStaged := workers > 1 && layers > 1; staged != wantStaged {
+						t.Fatalf("layers=%d batch=%d workers=%d: ran on stage arenas = %v, want %v",
+							layers, batch, workers, staged, wantStaged)
+					}
+					if st := ws.Stats(); st.Gets != st.Puts {
+						t.Fatalf("layers=%d batch=%d workers=%d: %d Gets vs %d Puts",
+							layers, batch, workers, st.Gets, st.Puts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInferBatchWarmAllocs pins a warm sweep's allocations at the
+// served geometry (BenchmarkInferBatchWarm's): 13 for the serial loop
+// and 18 for the layer wavefront, which adds a wake channel per layer
+// and a goroutine per helper layer. None of them scales with the
+// sequence: a 64-step sweep allocates as much as a 32-step one.
+func TestInferBatchWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on its own around goroutines")
+	}
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	cfg := Config{InputSize: 16, Hidden: 64, Layers: 3, SeqLen: 32, Batch: 1, OutSize: 2, Loss: SingleLoss}
+	net, err := NewNetwork(cfg, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		workers int
+		bound   float64
+	}{{1, 13}, {2, 18}} {
+		tensor.SetWorkers(c.workers)
+		var per [2]float64
+		for i, steps := range []int{32, 64} {
+			reqs := []InferSeq{{Inputs: randomSeq(rng.New(2), steps, cfg.InputSize)}}
+			ws := tensor.NewWorkspace()
+			for warm := 0; warm < 3; warm++ {
+				if _, err := net.InferBatch(ws, reqs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			per[i] = testing.AllocsPerRun(20, func() {
+				if _, err := net.InferBatch(ws, reqs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if per[0] > c.bound || per[1] != per[0] {
+			t.Errorf("workers=%d: warm sweep allocates %v (32 steps) and %v (64 steps), want at most %v for both",
+				c.workers, per[0], per[1], c.bound)
 		}
 	}
 }

@@ -105,3 +105,29 @@ func TestLabeledKindMismatchPanics(t *testing.T) {
 	}()
 	r.GaugeL("x", "", "k", "v")
 }
+
+// TestInfoFuncLazy: an InfoFunc label is computed at export, not at
+// registration, and a later registration under the name replaces it.
+func TestInfoFuncLazy(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	r.InfoFunc("ckpt_digest", "served checkpoint digest", "digest", func() string {
+		calls++
+		return "cccc"
+	})
+	if calls != 0 {
+		t.Fatalf("InfoFunc evaluated %d times at registration, want 0", calls)
+	}
+	if snap := r.Snapshot(); snap[`ckpt_digest{digest="cccc"}`] != 1 || calls != 1 {
+		t.Fatalf("after one export: calls=%d snapshot=%v", calls, snap)
+	}
+	r.SetInfo("ckpt_digest", "", "digest", "dddd")
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); !strings.Contains(out, `ckpt_digest{digest="dddd"} 1`) ||
+		strings.Contains(out, "cccc") || !strings.Contains(out, "# HELP ckpt_digest served checkpoint digest") {
+		t.Fatalf("SetInfo did not replace the InfoFunc series:\n%s", out)
+	}
+}

@@ -193,15 +193,24 @@ type entry struct {
 	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
+
+	// infoKey and infoFn give an InfoFunc entry its label pair at
+	// export time.
+	infoKey string
+	infoFn  func() string
 }
 
 // series renders the full sample name including the label pair —
 // `name` or `name{key="value"}` — used by both export formats.
 func (e *entry) series() string {
-	if e.labels == "" {
+	labels := e.labels
+	if e.infoFn != nil {
+		labels = renderLabel(e.infoKey, e.infoFn())
+	}
+	if labels == "" {
 		return e.name
 	}
-	return e.name + "{" + e.labels + "}"
+	return e.name + "{" + labels + "}"
 }
 
 // renderLabel formats one key="value" pair with the value escaped the
@@ -357,14 +366,28 @@ func (r *Registry) SetInfoKV(name, help string, kv ...string) {
 		}
 		b.WriteString(renderLabel(kv[i], kv[i+1]))
 	}
-	labels := b.String()
+	r.setInfo(&entry{name: name, labels: b.String(), help: help, kind: kindInfo})
+}
+
+// InfoFunc is SetInfo with the label value computed at export time, for
+// a payload that costs work to produce and may never be read (a served
+// checkpoint's content digest). A later SetInfo or InfoFunc under the
+// same name replaces it.
+func (r *Registry) InfoFunc(name, help, labelKey string, fn func() string) {
+	r.setInfo(&entry{name: name, help: help, kind: kindInfo, infoKey: labelKey, infoFn: fn})
+}
+
+// setInfo installs an info entry under its name alone, keeping the
+// help of the first registration. A relabel swaps in the new entry
+// rather than editing the old one, which an export may be reading
+// outside the lock.
+func (r *Registry) setInfo(e *entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e := r.lookup(name, kindInfo); e != nil {
-		e.labels = labels
-		return
+	if old := r.lookup(e.name, kindInfo); old != nil {
+		e.help = old.help
 	}
-	r.entries[name] = &entry{name: name, labels: labels, help: help, kind: kindInfo}
+	r.entries[e.name] = e
 }
 
 // Histogram returns the histogram registered under name, creating it

@@ -72,6 +72,10 @@ type batcher struct {
 
 	work chan []*pending
 	wg   sync.WaitGroup // collector + workers
+
+	// arenas are the workers' workspaces, one each. Only its worker
+	// touches one while the batcher runs.
+	arenas []*tensor.Workspace
 }
 
 func newBatcher(net *model.Network, opts Options, m *metrics) *batcher {
@@ -85,8 +89,13 @@ func newBatcher(net *model.Network, opts Options, m *metrics) *batcher {
 	b.wg.Add(1)
 	go b.collect()
 	for i := 0; i < opts.Workers; i++ {
+		ws := tensor.NewWorkspace()
+		if opts.Tracer != nil {
+			ws.SetRecorder(obs.NewRecorder())
+		}
+		b.arenas = append(b.arenas, ws)
 		b.wg.Add(1)
-		go b.worker()
+		go b.worker(ws)
 	}
 	return b
 }
@@ -201,12 +210,8 @@ func (b *batcher) collect() {
 // its workspace arena; the network weights are only read. With tracing
 // on, the worker also owns a phase recorder riding the workspace — its
 // snapshot deltas become each sweep span's FW phase children.
-func (b *batcher) worker() {
+func (b *batcher) worker(ws *tensor.Workspace) {
 	defer b.wg.Done()
-	ws := tensor.NewWorkspace()
-	if b.opts.Tracer != nil {
-		ws.SetRecorder(obs.NewRecorder())
-	}
 	for group := range b.work {
 		b.runGroup(ws, group)
 	}
@@ -292,8 +297,9 @@ func traceIDOf(sp *rtrace.Span) string {
 // infer runs one batched sweep with panic isolation: a poisoned request
 // (state corrupted to a shape the kernels reject, a bug in the sweep)
 // fails its group with an error instead of crashing the server, and the
-// worker's arena is reset because a mid-kernel panic can strand or
-// alias its buffers.
+// worker's arena, stage arenas included, is reset because a mid-kernel
+// panic can strand or alias its buffers. InferBatch re-raises a panic
+// from any of its layers here, after every layer has stopped.
 func (b *batcher) infer(ws *tensor.Workspace, live []*pending) (outs []model.InferOut, err error) {
 	defer func() {
 		if r := recover(); r != nil {

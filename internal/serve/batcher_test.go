@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -401,4 +406,98 @@ func TestBatcherWorkConserving(t *testing.T) {
 			t.Fatalf("group offered after %v, before the %v window closed", d, window)
 		}
 	})
+}
+
+// wavefrontNet is a three-layer network whose sweeps of eight steps
+// cross the kernels' fan-out threshold, so at more than one kernel
+// worker InferBatch runs them as a layer wavefront: layers 0 and 1 on
+// helper goroutines, the top layer on the worker itself.
+func wavefrontNet(t testing.TB) *model.Network {
+	t.Helper()
+	cfg := model.Config{
+		InputSize: 8, Hidden: 32, Layers: 3, SeqLen: 8, Batch: 1,
+		OutSize: 3, Loss: model.SingleLoss,
+	}
+	net, err := model.NewNetwork(cfg, rng.New(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// settledGoroutines waits (bounded) for the goroutine count to drop to
+// want — an exiting goroutine is counted until it is gone — and returns
+// the last count seen.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestHTTPPoisonedHelperLayer poisons a layer above 0 of a wavefront
+// sweep, so the panic fires on a helper goroutine rather than on the
+// worker: the group still fails with a 500, every stage arena is reset,
+// no sweep goroutine outlives its sweep, and after the repair the same
+// worker keeps serving.
+func TestHTTPPoisonedHelperLayer(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	net := wavefrontNet(t)
+	s := New(net, "", Options{MaxBatch: 4, Workers: 1})
+	defer s.Close(context.Background())
+	ws := s.gen.Load().b.arenas[0]
+	h := s.Handler()
+	r := rng.New(5)
+	infer := func() (int, string) {
+		buf, err := json.Marshal(inferRequest{Inputs: seqJSON(r, 8, net.Cfg.InputSize)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(buf)))
+		return rec.Code, rec.Body.String()
+	}
+	baseline := runtime.NumGoroutine()
+
+	for i := 0; i < 3; i++ {
+		if code, body := infer(); code != http.StatusOK {
+			t.Fatalf("healthy infer %d: HTTP %d %s", i, code, body)
+		}
+	}
+	for l := 0; l < net.Cfg.Layers; l++ {
+		if st := ws.Stage(l).Stats(); st.Gets == 0 {
+			t.Fatalf("stage arena %d unused: the sweep did not run as a wavefront", l)
+		}
+	}
+	if n := settledGoroutines(baseline); n != baseline {
+		t.Fatalf("%d goroutines after healthy sweeps, want the baseline %d", n, baseline)
+	}
+
+	good := net.Layer[1].U[0]
+	net.Layer[1].U[0] = tensor.New(net.Cfg.Hidden+1, net.Cfg.Hidden) // inner-dim mismatch → MatMul panics in layer 1
+	code, body := infer()
+	if code != http.StatusInternalServerError || !strings.Contains(body, "panic") {
+		t.Fatalf("poisoned layer 1: HTTP %d %s, want a 500 naming the panic", code, body)
+	}
+	for l := 0; l < net.Cfg.Layers; l++ {
+		if b, e := ws.Stage(l).Retained(); b != 0 || e != 0 {
+			t.Fatalf("stage arena %d retains %d buffers after the poisoned sweep, want a reset", l, b)
+		}
+	}
+	if b, _ := ws.Retained(); b != 0 {
+		t.Fatalf("worker arena retains %d buffers after the poisoned sweep, want a reset", b)
+	}
+	if n := settledGoroutines(baseline); n != baseline {
+		t.Fatalf("%d goroutines after the poisoned sweep, want the baseline %d", n, baseline)
+	}
+
+	net.Layer[1].U[0] = good
+	if code, body := infer(); code != http.StatusOK {
+		t.Fatalf("after repair: HTTP %d %s", code, body)
+	}
+	if st := s.Stats(); st.Failed != 1 || st.Completed != 4 {
+		t.Fatalf("stats: %d failed, %d completed; want 1 and 4", st.Failed, st.Completed)
+	}
 }

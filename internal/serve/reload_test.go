@@ -66,6 +66,46 @@ func TestNewDigest(t *testing.T) {
 	}
 }
 
+// TestNewDoesNotHash: building a server and answering a request never
+// hashes the weights. The first read of the digest hashes them once,
+// and every reader — Generation, /statz, the digest info series on
+// /metrics — reports that one value.
+func TestNewDoesNotHash(t *testing.T) {
+	var calls atomic.Int64
+	defer func(prev func(*model.Network) (string, error)) { digestNetwork = prev }(digestNetwork)
+	digestNetwork = func(net *model.Network) (string, error) {
+		calls.Add(1)
+		return persist.Digest(net)
+	}
+	net := testNet(t)
+	want, err := persist.Digest(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(net, "", Options{})
+	defer s.Close(context.Background())
+	if _, err := s.Infer(context.Background(), Request{Inputs: seqJSON(rng.New(1), 3, net.Cfg.InputSize)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("New and one request hashed the weights %d times, want 0", n)
+	}
+	if _, got := s.Generation(); got != want {
+		t.Fatalf("Generation digest %q, want %q", got, want)
+	}
+	if got := s.Stats().CheckpointDigest; got != want {
+		t.Fatalf("/statz digest %q, want %q", got, want)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if series := `etalstm_checkpoint_digest{digest="` + want + `"} 1`; !strings.Contains(rec.Body.String(), series) {
+		t.Fatalf("/metrics lacks %s", series)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("four digest reads hashed the weights %d times, want 1", n)
+	}
+}
+
 // TestReloadZeroDrop is the hot-swap acceptance test: concurrent
 // inference traffic across several checkpoint swaps completes with
 // zero dropped (errored) requests, and the generation/digest advance.

@@ -152,10 +152,30 @@ type Result struct {
 // land on whichever generation they loaded, and the old batcher's
 // graceful drain finishes everything it admitted.
 type generation struct {
-	net    *model.Network
-	b      *batcher
-	digest string // hex SHA-256 checkpoint content digest
-	seq    int64  // 1 for the first load, +1 per swap
+	net *model.Network
+	b   *batcher
+	seq int64 // 1 for the first load, +1 per swap
+
+	// digest is the hex SHA-256 checkpoint content digest: the one the
+	// loader verified, or "" until the first read computes it (see
+	// contentDigest). Nothing on the request path reads it, so a cold
+	// start does not hash the weights a second time.
+	digest     string
+	digestOnce sync.Once
+}
+
+// digestNetwork is persist.Digest; tests count its calls.
+var digestNetwork = persist.Digest
+
+// contentDigest returns the generation's checkpoint digest, hashing the
+// weights on the first call when the loader did not supply it.
+func (g *generation) contentDigest() string {
+	g.digestOnce.Do(func() {
+		if g.digest == "" {
+			g.digest, _ = digestNetwork(g.net)
+		}
+	})
+	return g.digest
 }
 
 // Server owns the session table, the metrics registry and the current
@@ -223,12 +243,9 @@ func NewStandby(opts Options) *Server {
 // New builds a server around net. The network's weights are treated as
 // read-only from here on; training it concurrently is not supported.
 // digest is net's content digest, as persist.LoadFileDigest returns it
-// alongside the network it verified; "" computes it here.
+// alongside the network it verified; "" computes it on first read.
 func New(net *model.Network, digest string, opts Options) *Server {
 	s := NewStandby(opts)
-	if digest == "" {
-		digest, _ = persist.Digest(net)
-	}
 	s.install(&generation{net: net, b: newBatcher(net, s.opts, s.m), digest: digest, seq: 1})
 	return s
 }
@@ -236,8 +253,8 @@ func New(net *model.Network, digest string, opts Options) *Server {
 // install publishes a generation and its identity metrics.
 func (s *Server) install(g *generation) {
 	s.gen.Store(g)
-	s.m.reg.SetInfo(metricCheckpointDigest, "content digest of the served checkpoint",
-		"digest", g.digest)
+	s.m.reg.InfoFunc(metricCheckpointDigest, "content digest of the served checkpoint",
+		"digest", g.contentDigest)
 }
 
 // checkServingCompat rejects a swap that would invalidate live session
@@ -258,7 +275,8 @@ func checkServingCompat(got, want model.Config) error {
 // gracefully drain the old generation. In-flight requests are never
 // dropped — requests admitted to the old batcher complete on the old
 // weights, and a submission racing the flip retries on the new
-// generation (see Infer). digest may be empty; it is recomputed.
+// generation (see Infer). digest may be empty; it is computed on first
+// read.
 func (s *Server) Reload(net *model.Network, digest string) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -270,13 +288,6 @@ func (s *Server) Reload(net *model.Network, digest string) error {
 		if err := checkServingCompat(net.Cfg, old.net.Cfg); err != nil {
 			return err
 		}
-	}
-	if digest == "" {
-		d, err := persist.Digest(net)
-		if err != nil {
-			return fmt.Errorf("serve: digesting checkpoint: %w", err)
-		}
-		digest = d
 	}
 	nb := newBatcher(net, s.opts, s.m)
 	// Health-verify the standby before any traffic can reach it: one
@@ -310,7 +321,7 @@ func (s *Server) Reload(net *model.Network, digest string) error {
 // content digest (0, "" on a standby).
 func (s *Server) Generation() (int64, string) {
 	if g := s.gen.Load(); g != nil {
-		return g.seq, g.digest
+		return g.seq, g.contentDigest()
 	}
 	return 0, ""
 }
@@ -355,7 +366,7 @@ func (s *Server) Stats() Stats {
 	var seq int64
 	digest := ""
 	if g := s.gen.Load(); g != nil {
-		depth, seq, digest = g.b.depth(), g.seq, g.digest
+		depth, seq, digest = g.b.depth(), g.seq, g.contentDigest()
 	}
 	return s.m.snapshot(depth, s.sessions.count(), seq, digest)
 }

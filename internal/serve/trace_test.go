@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"etalstm/internal/obs"
 	"etalstm/internal/rng"
 	"etalstm/internal/rtrace"
 	"etalstm/internal/tensor"
@@ -187,5 +188,58 @@ func TestSweepPanicDumpsFlightRecorder(t *testing.T) {
 	}
 	if !strings.Contains(out, "warmup") {
 		t.Fatalf("dump misses the pre-incident trace:\n%s", out)
+	}
+}
+
+// TestSweepPhaseClosure is TestStepPhaseClosure for serving: at two
+// kernel workers a traced sweep runs as a layer wavefront, whose layers
+// overlap in time, and its folded phase children must still sum to at
+// most the sweep span — one FW phase for the whole layer loop, not one
+// per layer.
+func TestSweepPhaseClosure(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	tracer := rtrace.New(rtrace.Options{Process: "replica"})
+	net := wavefrontNet(t)
+	s := New(net, "", Options{MaxBatch: 4, Workers: 1, Tracer: tracer})
+	defer s.Close(context.Background())
+	r := rng.New(9)
+	for i := 0; i < 8; i++ {
+		root := tracer.StartSpan("client")
+		ctx := rtrace.ContextWithSpan(context.Background(), root)
+		if _, err := s.Infer(ctx, Request{Inputs: seqJSON(r, 8, net.Cfg.InputSize)}); err != nil {
+			t.Fatal(err)
+		}
+		root.Finish()
+
+		var sweep *rtrace.SpanData
+		spans := tracer.Trace(root.TraceID())
+		for j := range spans {
+			if spans[j].Name == "serve.sweep" {
+				sweep = &spans[j]
+			}
+		}
+		if sweep == nil {
+			t.Fatalf("request %d: no serve.sweep span (spans: %v)", i, names(spans))
+		}
+		var sum time.Duration
+		fw := 0
+		for _, sd := range spans {
+			if sd.Parent != sweep.SpanID {
+				continue
+			}
+			sum += sd.Duration
+			if sd.Name == obs.PhaseFW.String() {
+				fw++
+			}
+		}
+		if fw != 1 {
+			t.Fatalf("request %d: sweep has %d FW phase children, want 1", i, fw)
+		}
+		if sum > sweep.Duration {
+			t.Errorf("request %d: phase children sum to %v, beyond the sweep's %v", i, sum, sweep.Duration)
+		}
+	}
+	if st := s.gen.Load().b.arenas[0].Stage(0).Stats(); st.Gets == 0 {
+		t.Fatal("stage arena 0 unused: the sweeps did not run as a wavefront")
 	}
 }

@@ -29,12 +29,20 @@ func Workers() int { return int(atomic.LoadInt64(&maxWorkers)) }
 // kernel fans out; below it goroutine overhead dominates.
 const parallelThreshold = 1 << 16
 
+// SerialWork reports whether work of flops multiply-accumulates should
+// stay on one goroutine: kernel parallelism is off, or the work is below
+// the fan-out threshold. Callers that split work across goroutines
+// themselves (model's layer wavefront) use the same rule the kernels do.
+func SerialWork(flops int64) bool {
+	return Workers() <= 1 || flops < parallelThreshold
+}
+
 // serialRows reports whether a rows×flops kernel should run serially.
 // Callers branch on it BEFORE building the closure for parallelRows, so
 // the (heap-allocated, because of the go statement) closure only exists
 // on the fan-out path and small kernels stay allocation-free.
 func serialRows(rows int, flops int64) bool {
-	return Workers() <= 1 || flops < parallelThreshold || rows < 2
+	return SerialWork(flops) || rows < 2
 }
 
 // parallelRows splits [0, rows) across workers and runs fn on each

@@ -54,6 +54,12 @@ type Workspace struct {
 	// boundary.
 	rec *obs.Recorder
 
+	// stages are helper arenas for work the owner splits across
+	// goroutines (model's layer wavefront runs each layer on its own).
+	// Each is confined to the one goroutine its work runs on; they carry
+	// no recorder, and the owner's Stats, Retained and Reset cover them.
+	stages []*Workspace
+
 	stats WorkspaceStats
 }
 
@@ -181,16 +187,39 @@ func (w *Workspace) Recorder() *obs.Recorder {
 	return w.rec
 }
 
-// Stats returns a snapshot of the workspace's traffic counters.
+// Stage returns helper arena i of w, creating it (and any below it) on
+// first use; nil on a nil workspace. Call it on w's goroutine before
+// handing the arena to the goroutine that will use it: from then until
+// that goroutine is joined, the stage belongs to it alone.
+func (w *Workspace) Stage(i int) *Workspace {
+	if w == nil {
+		return nil
+	}
+	for len(w.stages) <= i {
+		w.stages = append(w.stages, NewWorkspace())
+	}
+	return w.stages[i]
+}
+
+// Stats returns a snapshot of the traffic counters of the workspace and
+// its stage arenas.
 func (w *Workspace) Stats() WorkspaceStats {
 	if w == nil {
 		return WorkspaceStats{}
 	}
-	return w.stats
+	st := w.stats
+	for _, s := range w.stages {
+		st.Gets += s.stats.Gets
+		st.Hits += s.stats.Hits
+		st.Puts += s.stats.Puts
+		st.Misses += s.stats.Misses
+	}
+	return st
 }
 
-// Retained returns the number of matrices currently sitting in free
-// lists and their total element capacity — the arena's resident size.
+// Retained returns the number of matrices currently sitting in the free
+// lists of the workspace and its stage arenas, and their total element
+// capacity — the arena's resident size.
 func (w *Workspace) Retained() (buffers int, elements int64) {
 	if w == nil {
 		return 0, 0
@@ -201,15 +230,23 @@ func (w *Workspace) Retained() (buffers int, elements int64) {
 			elements += int64(cap(m.Data))
 		}
 	}
+	for _, s := range w.stages {
+		b, e := s.Retained()
+		buffers, elements = buffers+b, elements+e
+	}
 	return buffers, elements
 }
 
-// Reset drops every free list, releasing the retained storage to the
-// garbage collector. Outstanding buffers are unaffected.
+// Reset drops every free list of the workspace and its stage arenas,
+// releasing the retained storage to the garbage collector. Outstanding
+// buffers are unaffected.
 func (w *Workspace) Reset() {
 	if w == nil {
 		return
 	}
 	w.free = make(map[int][]*Matrix)
 	w.objs = make(map[uint8][]any)
+	for _, s := range w.stages {
+		s.Reset()
+	}
 }

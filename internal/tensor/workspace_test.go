@@ -1,6 +1,10 @@
 package tensor
 
-import "testing"
+import (
+	"testing"
+
+	"etalstm/internal/obs"
+)
 
 func TestWorkspaceRecycles(t *testing.T) {
 	ws := NewWorkspace()
@@ -148,5 +152,34 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("warm Get/Put allocates %.1f times per cycle, want 0", avg)
+	}
+}
+
+// TestWorkspaceStages: stage arenas are created on first use, carry no
+// recorder, and the owner's Stats, Retained and Reset cover them.
+func TestWorkspaceStages(t *testing.T) {
+	if (*Workspace)(nil).Stage(2) != nil {
+		t.Fatal("a nil workspace has stage arenas")
+	}
+	w := NewWorkspace()
+	w.SetRecorder(obs.NewRecorder())
+	s1 := w.Stage(1)
+	if s1 == nil || w.Stage(1) != s1 || w.Stage(0) == s1 {
+		t.Fatal("Stage does not return one stable arena per index")
+	}
+	if s1.Recorder() != nil {
+		t.Fatal("stage arena inherited the owner's recorder")
+	}
+	w.Put(w.Get(2, 3))
+	s1.Put(s1.Get(4, 4))
+	if st := w.Stats(); st.Gets != 2 || st.Puts != 2 || st.Misses != 2 {
+		t.Fatalf("Stats %+v does not sum the owner and its stage", st)
+	}
+	if b, e := w.Retained(); b != 2 || e != 8+16 {
+		t.Fatalf("Retained = %d buffers, %d elements; want 2, 24", b, e)
+	}
+	w.Reset()
+	if b, _ := s1.Retained(); b != 0 {
+		t.Fatalf("stage arena retains %d buffers after the owner's Reset", b)
 	}
 }
