@@ -20,7 +20,6 @@ import (
 	"etalstm/internal/arch"
 	"etalstm/internal/gpu"
 	"etalstm/internal/hw/accum"
-	"etalstm/internal/hw/omnipe"
 	"etalstm/internal/hw/sched"
 	"etalstm/internal/lstm"
 	"etalstm/internal/model"
@@ -238,22 +237,6 @@ func BenchmarkStreamingAccumulator(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		accum.Accumulate(vals, 8)
-	}
-}
-
-func BenchmarkOmniPEDotProduct(b *testing.B) {
-	pe := omnipe.New(omnipe.Default())
-	r := rng.New(3)
-	a := make([]float32, 1024)
-	v := make([]float32, 1024)
-	for i := range a {
-		a[i] = r.Uniform(-1, 1)
-		v[i] = r.Uniform(-1, 1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pe.DotProduct(a, v)
 	}
 }
 

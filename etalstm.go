@@ -37,7 +37,7 @@ import (
 	"etalstm/internal/rng"
 	"etalstm/internal/serve"
 	"etalstm/internal/tensor"
-	"etalstm/internal/trace"
+	"etalstm/internal/traffic"
 	"etalstm/internal/train"
 	"etalstm/internal/workload"
 )
@@ -410,16 +410,16 @@ func memMode(mode Mode) memplan.Mode {
 // point — the shared core of Analyze (paper defaults) and
 // Trainer.Analyze (measured values).
 func analyzeAt(cfg Config, mode Mode, p1Sparsity, skipFrac float64) Analysis {
-	var m trace.Movement
+	var m traffic.Movement
 	switch mode {
 	case MS1:
-		m = trace.WithMS1(cfg, p1Sparsity)
+		m = traffic.WithMS1(cfg, p1Sparsity)
 	case MS2:
-		m = trace.WithMS2(cfg, skipFrac)
+		m = traffic.WithMS2(cfg, skipFrac)
 	case Combined:
-		m = trace.Combined(cfg, p1Sparsity, skipFrac)
+		m = traffic.Combined(cfg, p1Sparsity, skipFrac)
 	default:
-		m = trace.Baseline(cfg)
+		m = traffic.Baseline(cfg)
 	}
 	mp := memplan.Params{P1KeepRatio: memplan.FromSparsity(p1Sparsity), SkipFrac: skipFrac}
 	b := memplan.Footprint(cfg, memMode(mode), mp)

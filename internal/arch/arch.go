@@ -29,7 +29,7 @@ import (
 	"etalstm/internal/memplan"
 	"etalstm/internal/model"
 	"etalstm/internal/skip"
-	"etalstm/internal/trace"
+	"etalstm/internal/traffic"
 	"etalstm/internal/workload"
 )
 
@@ -111,8 +111,8 @@ func (h HWConfig) effectivePEs() int {
 }
 
 // Energy constants (FPGA-class, DESIGN.md §5): per-MAC and per-EW-op
-// dynamic energy including fabric routing, plus memory energies from
-// internal/hw/memory.
+// dynamic energy including fabric routing, plus per-byte energies of the
+// HBM and the scratchpad SRAM.
 const (
 	macEnergyPJ   = 32.0
 	ewEnergyPJ    = 10.0
@@ -183,7 +183,7 @@ func (e Eval) GFLOPSperW() float64 {
 
 // phases builds the per-step workload under the given software flow.
 // Returns (phase list, MAC count, EW count, traffic).
-func phases(cfg model.Config, ms1, ms2 bool, p OptParams) ([]sched.Workload, int64, int64, trace.Movement) {
+func phases(cfg model.Config, ms1, ms2 bool, p OptParams) ([]sched.Workload, int64, int64, traffic.Movement) {
 	var fw, bp lstm.OpCount
 	live := 1.0
 	if ms2 {
@@ -206,20 +206,20 @@ func phases(cfg model.Config, ms1, ms2 bool, p OptParams) ([]sched.Workload, int
 		}
 	}
 
-	var traffic trace.Movement
+	var mov traffic.Movement
 	switch {
 	case ms1 && ms2:
-		traffic = trace.Combined(cfg, p.P1Sparsity, p.SkipFrac)
+		mov = traffic.Combined(cfg, p.P1Sparsity, p.SkipFrac)
 	case ms1:
-		traffic = trace.WithMS1(cfg, p.P1Sparsity)
+		mov = traffic.WithMS1(cfg, p.P1Sparsity)
 	case ms2:
-		traffic = trace.WithMS2(cfg, p.SkipFrac)
+		mov = traffic.WithMS2(cfg, p.SkipFrac)
 	default:
-		traffic = trace.Baseline(cfg)
+		mov = traffic.Baseline(cfg)
 	}
 
 	ph := []sched.Workload{sched.FromOpCount(fw), sched.FromOpCount(bp)}
-	return ph, fw.MatMulMACs + bp.MatMulMACs, fw.EWOps() + bp.EWOps(), traffic
+	return ph, fw.MatMulMACs + bp.MatMulMACs, fw.EWOps() + bp.EWOps(), mov
 }
 
 func scaleOps(o lstm.OpCount, f float64) lstm.OpCount {
@@ -233,7 +233,7 @@ func scaleOps(o lstm.OpCount, f float64) lstm.OpCount {
 
 // accelerator evaluates an accelerator scenario.
 func accelerator(cfg model.Config, hw HWConfig, policy sched.Policy, peScale float64, ms1, ms2 bool, p OptParams) Eval {
-	ph, macs, ews, traffic := phases(cfg, ms1, ms2, p)
+	ph, macs, ews, mov := phases(cfg, ms1, ms2, p)
 	totalPEs := int(float64(hw.effectivePEs()) * peScale)
 	if totalPEs < 2 {
 		totalPEs = 2
@@ -254,15 +254,15 @@ func accelerator(cfg model.Config, hw HWConfig, policy sched.Policy, peScale flo
 
 	r := sched.RunPhases(ph, policy, alloc, totalPEs)
 	computeSec := float64(r.Cycles) / hw.ClockHz
-	memSec := float64(traffic.Total()) / hw.HBMBytesPerSec
+	memSec := float64(mov.Total()) / hw.HBMBytesPerSec
 	stepSec := computeSec
 	if memSec > stepSec {
 		stepSec = memSec // DMA and compute overlap; the slower binds
 	}
 
 	dynamicJ := (float64(macs)*macEnergyPJ + float64(ews)*ewEnergyPJ +
-		float64(traffic.Total())*hbmEnergyPJB +
-		float64(traffic.Total())*sramTrafficFactor*sramEnergyPJB) * 1e-12
+		float64(mov.Total())*hbmEnergyPJB +
+		float64(mov.Total())*sramTrafficFactor*sramEnergyPJB) * 1e-12
 	staticJ := hw.StaticWattsPerBoard * float64(hw.Boards) * stepSec
 	energy := dynamicJ + staticJ
 
@@ -290,7 +290,7 @@ func gpuScenario(dev gpu.Device, cfg model.Config, ms1, ms2 bool, p OptParams) E
 		r := gpu.Step(dev, cfg)
 		return fromGPU(r)
 	}
-	_, macs, ews, traffic := phases(cfg, ms1, ms2, p)
+	_, macs, ews, mov := phases(cfg, ms1, ms2, p)
 	// GPUs recover only part of the sparsity the decoder exploits
 	// fully: blend the dense and sparse MAC counts.
 	if ms1 {
@@ -305,7 +305,7 @@ func gpuScenario(dev gpu.Device, cfg model.Config, ms1, ms2 bool, p OptParams) E
 	if ms2 {
 		intermScale *= 1 - p.SkipFrac
 	}
-	r := gpu.StepOptimized(dev, cfg, flops, traffic, intermScale)
+	r := gpu.StepOptimized(dev, cfg, flops, mov, intermScale)
 	// Report throughput against the full model FLOPs so skipped work
 	// counts as progress (the model still trains one step).
 	if !r.OOM {

@@ -39,12 +39,3 @@ func BenchmarkDecodeSparse65(b *testing.B) {
 		s.MustDecode(dst)
 	}
 }
-
-func BenchmarkEncodeBitmask65(b *testing.B) {
-	m := benchMatrix(0.65)
-	b.SetBytes(m.Bytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeBitmask(m, 0.1)
-	}
-}

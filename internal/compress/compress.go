@@ -1,14 +1,14 @@
 // Package compress implements the near-zero pruning and sparse encoding
 // the η-LSTM DMA module applies to BP-EW-P1 products (paper Sec. IV-A
 // and Fig. 14): values whose magnitude falls below a threshold are
-// dropped; survivors are stored as (value, index) pairs. The package
-// also provides a bitmask codec as an ablation alternative and the
-// sparsity statistics behind Fig. 6.
+// dropped; survivors are stored as (value, index) pairs. The
+// distributed trainer ships gradients in this encoding, picking the
+// threshold per step with a top-k selector and carrying what it prunes
+// forward as error feedback (feedback.go).
 package compress
 
 import (
 	"fmt"
-	"math"
 
 	"etalstm/internal/tensor"
 )
@@ -132,155 +132,4 @@ func (s *Sparse) CompressionRatio() float64 {
 		return 1
 	}
 	return float64(s.Bytes()) / float64(dense)
-}
-
-// Bitmask is the ablation codec: one presence bit per element plus the
-// packed surviving values. It beats value+index when sparsity is below
-// ~50 % and loses above it; the ablation bench quantifies the crossover.
-type Bitmask struct {
-	Rows, Cols int
-	Mask       []uint64 // ceil(Rows*Cols/64) words, bit i = element i kept
-	Values     []float32
-}
-
-// EncodeBitmask prunes |v| < threshold and returns the bitmask encoding.
-func EncodeBitmask(m *tensor.Matrix, threshold float32) *Bitmask {
-	n := m.Rows * m.Cols
-	b := &Bitmask{Rows: m.Rows, Cols: m.Cols, Mask: make([]uint64, (n+63)/64)}
-	for i, v := range m.Data {
-		av := v
-		if av < 0 {
-			av = -av
-		}
-		if av >= threshold {
-			b.Mask[i/64] |= 1 << (uint(i) % 64)
-			b.Values = append(b.Values, v)
-		}
-	}
-	return b
-}
-
-// Validate checks the structural invariants a bitmask record must hold
-// before decoding: a mask sized for the declared shape, no presence
-// bits beyond it, and exactly one packed value per set bit.
-func (b *Bitmask) Validate() error {
-	if b.Rows < 0 || b.Cols < 0 {
-		return fmt.Errorf("compress: negative shape %dx%d", b.Rows, b.Cols)
-	}
-	n := b.Rows * b.Cols
-	if len(b.Mask) != (n+63)/64 {
-		return fmt.Errorf("compress: mask %d words for %d elements", len(b.Mask), n)
-	}
-	set := 0
-	for i, w := range b.Mask {
-		if i == len(b.Mask)-1 && n%64 != 0 && w>>(uint(n)%64) != 0 {
-			return fmt.Errorf("compress: mask bits set beyond %d elements", n)
-		}
-		for ; w != 0; w &= w - 1 {
-			set++
-		}
-	}
-	if set != len(b.Values) {
-		return fmt.Errorf("compress: %d mask bits vs %d values", set, len(b.Values))
-	}
-	return nil
-}
-
-// Decode reconstructs the dense matrix. Like Sparse.Decode it panics on
-// a dst shape mismatch (programming error) but rejects corrupt records
-// — wrong mask length, stray bits, value-count mismatch — with an
-// error.
-func (b *Bitmask) Decode(dst *tensor.Matrix) (*tensor.Matrix, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if dst == nil {
-		dst = tensor.New(b.Rows, b.Cols)
-	} else {
-		if dst.Rows != b.Rows || dst.Cols != b.Cols {
-			panic("compress: Bitmask.Decode dst shape")
-		}
-		dst.Zero()
-	}
-	vi := 0
-	n := b.Rows * b.Cols
-	for i := 0; i < n; i++ {
-		if b.Mask[i/64]&(1<<(uint(i)%64)) != 0 {
-			dst.Data[i] = b.Values[vi]
-			vi++
-		}
-	}
-	return dst, nil
-}
-
-// MustDecode is Decode for records that are valid by construction; it
-// panics on a corrupt record.
-func (b *Bitmask) MustDecode(dst *tensor.Matrix) *tensor.Matrix {
-	m, err := b.Decode(dst)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Bytes returns the encoded size: mask words + packed values.
-func (b *Bitmask) Bytes() int64 {
-	return int64(len(b.Mask))*8 + int64(len(b.Values))*4
-}
-
-// PruneError returns the max-absolute and root-mean-square error the
-// pruning introduced relative to the original matrix — the quantity
-// bounded by the threshold (maxErr < threshold by construction).
-func PruneError(orig *tensor.Matrix, s *Sparse) (maxErr float64, rmse float64) {
-	dec := s.MustDecode(nil)
-	var sq float64
-	for i, v := range orig.Data {
-		d := math.Abs(float64(v) - float64(dec.Data[i]))
-		if d > maxErr {
-			maxErr = d
-		}
-		sq += d * d
-	}
-	if n := len(orig.Data); n > 0 {
-		rmse = math.Sqrt(sq / float64(n))
-	}
-	return maxErr, rmse
-}
-
-// Stats summarizes the compressibility of a matrix set at a threshold —
-// the aggregate behind Fig. 6's "fraction below 0.1" comparison.
-type Stats struct {
-	Elements    int64
-	Pruned      int64
-	DenseBytes  int64
-	SparseBytes int64
-}
-
-// Measure accumulates compression stats for ms at threshold.
-func Measure(ms []*tensor.Matrix, threshold float32) Stats {
-	var st Stats
-	for _, m := range ms {
-		s := Encode(m, threshold)
-		st.Elements += int64(m.Size())
-		st.Pruned += int64(m.Size() - s.NNZ())
-		st.DenseBytes += m.Bytes()
-		st.SparseBytes += s.Bytes()
-	}
-	return st
-}
-
-// PrunedFrac returns the pruned fraction.
-func (s Stats) PrunedFrac() float64 {
-	if s.Elements == 0 {
-		return 0
-	}
-	return float64(s.Pruned) / float64(s.Elements)
-}
-
-// Ratio returns sparse bytes / dense bytes.
-func (s Stats) Ratio() float64 {
-	if s.DenseBytes == 0 {
-		return 1
-	}
-	return float64(s.SparseBytes) / float64(s.DenseBytes)
 }

@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -95,74 +94,6 @@ func TestCompressionWinsAtHighSparsity(t *testing.T) {
 	}
 	if s.CompressionRatio() > 0.6 {
 		t.Fatalf("expected <0.6 ratio at 65%% sparsity, got %v", s.CompressionRatio())
-	}
-}
-
-func TestPruneErrorBounded(t *testing.T) {
-	r := rng.New(2)
-	m := tensor.New(50, 50)
-	m.RandInit(r, 1)
-	s := Encode(m, 0.1)
-	maxErr, rmse := PruneError(m, s)
-	if maxErr >= 0.1 {
-		t.Fatalf("prune error %v must stay below threshold", maxErr)
-	}
-	if rmse > maxErr {
-		t.Fatal("rmse cannot exceed max error")
-	}
-}
-
-func TestBitmaskRoundtrip(t *testing.T) {
-	r := rng.New(3)
-	m := tensor.New(9, 13)
-	m.RandInit(r, 1)
-	b := EncodeBitmask(m, 0.1)
-	s := Encode(m, 0.1)
-	db := b.MustDecode(nil)
-	ds := s.MustDecode(nil)
-	if !db.Equal(ds, 0) {
-		t.Fatal("bitmask and sparse decodes disagree")
-	}
-}
-
-func TestBitmaskBytesCrossover(t *testing.T) {
-	// At low sparsity bitmask wins; at high sparsity value+index wins.
-	dense := tensor.New(64, 64)
-	dense.Fill(1)
-	bs := EncodeBitmask(dense, 0.1)
-	ss := Encode(dense, 0.1)
-	if bs.Bytes() >= ss.Bytes() {
-		t.Fatalf("bitmask must win on dense data: %d vs %d", bs.Bytes(), ss.Bytes())
-	}
-	sparse := tensor.New(64, 64) // all pruned
-	sparse.Data[0] = 1
-	bs = EncodeBitmask(sparse, 0.1)
-	ss = Encode(sparse, 0.1)
-	if ss.Bytes() >= bs.Bytes() {
-		t.Fatalf("value+index must win on sparse data: %d vs %d", ss.Bytes(), bs.Bytes())
-	}
-}
-
-func TestMeasureStats(t *testing.T) {
-	a := tensor.New(10, 10)
-	a.Fill(1)
-	b := tensor.New(10, 10) // all zero
-	st := Measure([]*tensor.Matrix{a, b}, 0.1)
-	if st.Elements != 200 || st.Pruned != 100 {
-		t.Fatalf("Measure: %+v", st)
-	}
-	if math.Abs(st.PrunedFrac()-0.5) > 1e-9 {
-		t.Fatalf("PrunedFrac: %v", st.PrunedFrac())
-	}
-	if st.Ratio() <= 0 || st.Ratio() > 1.6 {
-		t.Fatalf("Ratio: %v", st.Ratio())
-	}
-}
-
-func TestEmptyStats(t *testing.T) {
-	var st Stats
-	if st.PrunedFrac() != 0 || st.Ratio() != 1 {
-		t.Fatal("empty stats defaults")
 	}
 }
 

@@ -40,36 +40,18 @@ func TestDecodeRejectsCountMismatch(t *testing.T) {
 	}
 }
 
-func TestBitmaskDecodeRejectsCorrupt(t *testing.T) {
-	b := &Bitmask{Rows: 1, Cols: 4, Mask: []uint64{}, Values: nil}
-	if _, err := b.Decode(nil); err == nil {
-		t.Fatal("short mask must be rejected")
-	}
-	b = &Bitmask{Rows: 1, Cols: 4, Mask: []uint64{1 << 10}, Values: []float32{1}}
-	if _, err := b.Decode(nil); err == nil {
-		t.Fatal("mask bits beyond the shape must be rejected")
-	}
-	b = &Bitmask{Rows: 1, Cols: 4, Mask: []uint64{0b11}, Values: []float32{1}}
-	if _, err := b.Decode(nil); err == nil {
-		t.Fatal("mask/value count mismatch must be rejected")
-	}
-}
-
 func TestValidateAcceptsEncoded(t *testing.T) {
 	m := tensor.NewFromData(2, 3, []float32{0.5, 0.01, -0.3, 0, 0.09, -0.8})
 	if err := Encode(m, 0.1).Validate(); err != nil {
 		t.Fatalf("encoded record must validate: %v", err)
 	}
-	if err := EncodeBitmask(m, 0.1).Validate(); err != nil {
-		t.Fatalf("encoded bitmask must validate: %v", err)
-	}
 }
 
-// FuzzSparseDecode reassembles hostile Sparse and Bitmask records from
-// raw bytes — the FrameDecode-style attack surface, since a wire peer
-// controls every field — and checks that decode either succeeds with
-// scatter semantics or rejects the record with an error. Any panic
-// fails the fuzzer.
+// FuzzSparseDecode reassembles hostile Sparse records from raw bytes —
+// the FrameDecode-style attack surface, since a wire peer controls
+// every field — and checks that decode either succeeds with scatter
+// semantics or rejects the record with an error. Any panic fails the
+// fuzzer.
 func FuzzSparseDecode(f *testing.F) {
 	f.Add([]byte{2, 2, 0, 0, 0, 0x80, 0x3f})          // valid single pair
 	f.Add([]byte{2, 2, 9, 0, 0, 0x80, 0x3f})          // index out of range
@@ -104,24 +86,6 @@ func FuzzSparseDecode(f *testing.F) {
 					t.Fatalf("scatter mismatch at %d", idx)
 				}
 			}
-		}
-
-		// Rebuild the same pairs as a bitmask with an arbitrary mask.
-		bm := &Bitmask{Rows: rows, Cols: cols, Values: s.Values}
-		words := (rows*cols + 63) / 64
-		if len(s.Indices)%3 == 0 {
-			words++ // sometimes the wrong mask length
-		}
-		seed := uint64(len(s.Values)) * 0x9e3779b97f4a7c15
-		for _, idx := range s.Indices {
-			seed = seed*131 + uint64(uint32(idx))
-		}
-		for w := 0; w < words; w++ {
-			seed = seed*6364136223846793005 + 1442695040888963407
-			bm.Mask = append(bm.Mask, seed)
-		}
-		if _, err := bm.Decode(nil); err == nil && bm.Validate() != nil {
-			t.Fatal("Bitmask.Decode accepted a record Validate rejects")
 		}
 	})
 }

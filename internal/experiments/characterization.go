@@ -6,7 +6,7 @@ import (
 	"etalstm/internal/gpu"
 	"etalstm/internal/memplan"
 	"etalstm/internal/stats"
-	"etalstm/internal/trace"
+	"etalstm/internal/traffic"
 	"etalstm/internal/workload"
 )
 
@@ -64,7 +64,7 @@ func Fig4(Options) (*Report, error) {
 	var pSum, aSum, iSum float64
 	sweeps := workload.AllFig3Sweeps()
 	for _, sc := range sweeps {
-		m := trace.Baseline(sc.Cfg)
+		m := traffic.Baseline(sc.Cfg)
 		ratio := float64(m.Intermediates) / float64(m.Activations)
 		ratios = append(ratios, ratio)
 		pSum += gb(m.Weights)

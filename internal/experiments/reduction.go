@@ -4,7 +4,7 @@ import (
 	"etalstm/internal/arch"
 	"etalstm/internal/memplan"
 	"etalstm/internal/stats"
-	"etalstm/internal/trace"
+	"etalstm/internal/traffic"
 	"etalstm/internal/workload"
 )
 
@@ -19,17 +19,17 @@ func Fig17(Options) (*Report, error) {
 	agg := map[string][]float64{}
 	for _, b := range workload.Suite() {
 		p := arch.DefaultOptParams(b.Cfg)
-		base := trace.Baseline(b.Cfg)
+		base := traffic.Baseline(b.Cfg)
 		cases := []struct {
 			name string
-			mov  trace.Movement
+			mov  traffic.Movement
 		}{
-			{"MS1", trace.WithMS1(b.Cfg, p.P1Sparsity)},
-			{"MS2", trace.WithMS2(b.Cfg, p.SkipFrac)},
-			{"eta-LSTM", trace.Combined(b.Cfg, p.P1Sparsity, p.SkipFrac)},
+			{"MS1", traffic.WithMS1(b.Cfg, p.P1Sparsity)},
+			{"MS2", traffic.WithMS2(b.Cfg, p.SkipFrac)},
+			{"eta-LSTM", traffic.Combined(b.Cfg, p.P1Sparsity, p.SkipFrac)},
 		}
 		for _, c := range cases {
-			r := trace.ReductionVs(base, c.mov)
+			r := traffic.ReductionVs(base, c.mov)
 			rep.Add(b.Name, c.name, r.Weights, r.Activations, r.Intermediates)
 			agg[c.name+"/w"] = append(agg[c.name+"/w"], r.Weights)
 			agg[c.name+"/a"] = append(agg[c.name+"/a"], r.Activations)

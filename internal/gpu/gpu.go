@@ -29,7 +29,7 @@ import (
 	"etalstm/internal/lstm"
 	"etalstm/internal/memplan"
 	"etalstm/internal/model"
-	"etalstm/internal/trace"
+	"etalstm/internal/traffic"
 )
 
 // Device describes a GPU.
@@ -97,7 +97,7 @@ type Result struct {
 	PowerW      float64
 	EnergyJ     float64
 	GFLOPSperW  float64
-	Traffic     trace.Movement
+	Traffic     traffic.Movement
 	OOM         bool // footprint exceeds device memory (Fig. 3b wall)
 }
 
@@ -153,7 +153,7 @@ func footprintGB(cfg model.Config) float64 {
 
 // Step models one baseline training step of cfg on d.
 func Step(d Device, cfg model.Config) Result {
-	return stepWith(d, cfg, StepFLOPs(cfg), trace.Baseline(cfg), 1)
+	return stepWith(d, cfg, StepFLOPs(cfg), traffic.Baseline(cfg), 1)
 }
 
 // StepOptimized models a training step whose software flow was changed
@@ -161,12 +161,12 @@ func Step(d Device, cfg model.Config) Result {
 // the optimized workload; intermScale scales the congestion term's
 // reuse-distance proxy (MS1 compresses the traveling intermediates,
 // MS2 removes the skipped cells' share).
-func StepOptimized(d Device, cfg model.Config, flops float64, traffic trace.Movement, intermScale float64) Result {
-	return stepWith(d, cfg, flops, traffic, intermScale)
+func StepOptimized(d Device, cfg model.Config, flops float64, mov traffic.Movement, intermScale float64) Result {
+	return stepWith(d, cfg, flops, mov, intermScale)
 }
 
-func stepWith(d Device, cfg model.Config, flops float64, traffic trace.Movement, intermScale float64) Result {
-	res := Result{FLOPs: flops, Traffic: traffic}
+func stepWith(d Device, cfg model.Config, flops float64, mov traffic.Movement, intermScale float64) Result {
+	res := Result{FLOPs: flops, Traffic: mov}
 	if int64(footprintGB(cfg)*1e9) > d.MemBytes {
 		res.OOM = true
 		return res
@@ -176,7 +176,7 @@ func stepWith(d Device, cfg model.Config, flops float64, traffic trace.Movement,
 	computeSec := flops / (d.PeakFLOPS * eff)
 
 	cong := 1 + congestionCoeff*math.Sqrt(perLayerIntermGB(cfg)*intermScale)
-	memSec := float64(traffic.Total()) / d.MemBW
+	memSec := float64(mov.Total()) / d.MemBW
 	launches := ewKernelsPerCell * float64(2*cfg.Layers*cfg.SeqLen)
 	launchSec := launches * d.LaunchSec
 
@@ -185,7 +185,7 @@ func stepWith(d Device, cfg model.Config, flops float64, traffic trace.Movement,
 
 	util := res.Throughput / d.PeakFLOPS
 	spill := 1 + spillCoeff*footprintGB(cfg)
-	trafficRate := float64(traffic.Total()) / res.StepSeconds
+	trafficRate := float64(mov.Total()) / res.StepSeconds
 	memPower := trafficRate * dramPJPerByte * 1e-12 * spill
 	res.PowerW = d.IdleW + (d.TDP-d.IdleW)*util + memPower
 	res.EnergyJ = res.PowerW * res.StepSeconds

@@ -3,7 +3,7 @@ package gpu
 import (
 	"testing"
 
-	"etalstm/internal/trace"
+	"etalstm/internal/traffic"
 	"etalstm/internal/workload"
 )
 
@@ -157,7 +157,7 @@ func TestOptimizedStepFaster(t *testing.T) {
 	cfg := workload.Fig3LengthSweep()[3].Cfg // LL151
 	dev := V100()
 	base := Step(dev, cfg)
-	optTraffic := trace.WithMS1(cfg, 0.65)
+	optTraffic := traffic.WithMS1(cfg, 0.65)
 	optFlops := StepFLOPs(cfg) * 0.8
 	opt := StepOptimized(dev, cfg, optFlops, optTraffic, 0.5)
 	if opt.StepSeconds >= base.StepSeconds {

@@ -4,10 +4,11 @@
 // needs. The adder doubles as a streaming accumulator via the partial-
 // sum scheme of internal/hw/accum.
 //
-// The model is functional and cycle-counted: each operation returns the
-// numerically exact result plus the cycles the PE was busy, which the
-// channel and architecture layers aggregate into utilization and
-// latency figures.
+// The datapath model is functional and cycle-counted: each operation
+// returns the numerically exact result plus the cycles the PE was busy.
+// No program runs it; the architecture model (internal/arch) reads only
+// Resources and UnifiedPEResources, for Table III and to scale
+// LSTM-Inf's PE count against its larger monolithic PE.
 package omnipe
 
 import (

@@ -6,15 +6,15 @@
 //
 //   - near-zero pruning of the P1 products at a threshold (~0.1), the
 //     approximation that creates the compression opportunity;
-//   - the compressed P1 store that replaces the raw intermediates in
-//     DRAM (value+index pairs, as the customized DMA emits);
-//   - the accounting of how many bytes the store holds versus the dense
-//     baseline, which the footprint and data-movement models consume.
+//   - the count of entries pruned and kept, which the trainer reports
+//     and the footprint and data-movement models consume as the
+//     measured P1 sparsity.
+//
+// The compressed form the sparse BP cell consumes is lstm.SparseP1,
+// which lstm.BackwardFromP1Sparse builds from the pruned planes.
 package reorder
 
 import (
-	"fmt"
-
 	"etalstm/internal/compress"
 	"etalstm/internal/lstm"
 )
@@ -80,146 +80,4 @@ func PruneInPlace(p1 *lstm.P1, cfg Config) PruneStats {
 		}
 	}
 	return st
-}
-
-// CellRecord is the compressed form of one cell's six P1 planes — what
-// travels to DRAM between the FW and BP cells under MS1.
-type CellRecord struct {
-	Planes [6]*compress.Sparse
-}
-
-// Bytes returns the record's compressed size.
-func (c *CellRecord) Bytes() int64 {
-	var b int64
-	for _, p := range c.Planes {
-		b += p.Bytes()
-	}
-	return b
-}
-
-// DenseBytes returns the size the record would occupy uncompressed.
-func (c *CellRecord) DenseBytes() int64 {
-	var b int64
-	for _, p := range c.Planes {
-		b += int64(p.Rows) * int64(p.Cols) * 4
-	}
-	return b
-}
-
-// Sparsity returns the pruned fraction across the record's planes.
-func (c *CellRecord) Sparsity() float64 {
-	var total, nnz int64
-	for _, p := range c.Planes {
-		total += int64(p.Rows) * int64(p.Cols)
-		nnz += int64(p.NNZ())
-	}
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(nnz)/float64(total)
-}
-
-// Encode compresses a P1 set into a CellRecord, pruning at the
-// configured threshold.
-func Encode(p1 *lstm.P1, cfg Config) *CellRecord {
-	th := cfg.threshold()
-	rec := &CellRecord{}
-	for i, m := range p1.Matrices() {
-		rec.Planes[i] = compress.Encode(m, th)
-	}
-	return rec
-}
-
-// Decode reconstructs a dense P1 set from a record (pruned entries are
-// zero, which BackwardFromP1 interprets as skippable work).
-func Decode(rec *CellRecord) *lstm.P1 {
-	p1 := &lstm.P1{
-		Pf:  rec.Planes[0].MustDecode(nil),
-		Pi:  rec.Planes[1].MustDecode(nil),
-		Pc:  rec.Planes[2].MustDecode(nil),
-		Po:  rec.Planes[3].MustDecode(nil),
-		Ps:  rec.Planes[4].MustDecode(nil),
-		Pfs: rec.Planes[5].MustDecode(nil),
-	}
-	return p1
-}
-
-// Store keeps the compressed P1 records of one training step, indexed
-// by (layer, timestamp). It stands in for the DRAM region the baseline
-// flow would fill with raw intermediates.
-type Store struct {
-	cfg    Config
-	layers int
-	seqLen int
-	recs   []*CellRecord
-}
-
-// NewStore creates a store for a layers×seqLen unrolled grid.
-func NewStore(layers, seqLen int, cfg Config) *Store {
-	return &Store{
-		cfg:    cfg,
-		layers: layers,
-		seqLen: seqLen,
-		recs:   make([]*CellRecord, layers*seqLen),
-	}
-}
-
-func (s *Store) idx(layer, t int) int {
-	if layer < 0 || layer >= s.layers || t < 0 || t >= s.seqLen {
-		panic(fmt.Sprintf("reorder: cell (%d,%d) outside %dx%d grid", layer, t, s.layers, s.seqLen))
-	}
-	return layer*s.seqLen + t
-}
-
-// Put compresses and stores the P1 set of cell (layer, t).
-func (s *Store) Put(layer, t int, p1 *lstm.P1) {
-	s.recs[s.idx(layer, t)] = Encode(p1, s.cfg)
-}
-
-// Get decodes the record of cell (layer, t); nil if never stored.
-func (s *Store) Get(layer, t int) *lstm.P1 {
-	rec := s.recs[s.idx(layer, t)]
-	if rec == nil {
-		return nil
-	}
-	return Decode(rec)
-}
-
-// Bytes returns the store's total compressed footprint.
-func (s *Store) Bytes() int64 {
-	var b int64
-	for _, rec := range s.recs {
-		if rec != nil {
-			b += rec.Bytes()
-		}
-	}
-	return b
-}
-
-// DenseBytes returns what the same cells would occupy uncompressed.
-func (s *Store) DenseBytes() int64 {
-	var b int64
-	for _, rec := range s.recs {
-		if rec != nil {
-			b += rec.DenseBytes()
-		}
-	}
-	return b
-}
-
-// MeanSparsity returns the average pruned fraction across stored cells
-// — the sparsity the BP-EW-P2 and BP-MatMul stages can skip.
-func (s *Store) MeanSparsity() float64 {
-	var sum float64
-	n := 0
-	for _, rec := range s.recs {
-		if rec != nil {
-			sum += rec.Sparsity()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

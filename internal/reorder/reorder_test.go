@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"etalstm/internal/compress"
 	"etalstm/internal/lstm"
 	"etalstm/internal/rng"
 	"etalstm/internal/tensor"
@@ -52,80 +53,20 @@ func TestPruneDefaultThreshold(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeMatchesPruned: pruning in place leaves exactly what a
+// roundtrip through the value+index codec would, which is why the
+// trainer may skip the codec on the hot path.
 func TestEncodeDecodeMatchesPruned(t *testing.T) {
 	orig := makeP1(3, 4, 16)
-	rec := Encode(orig, Config{Threshold: 0.1})
-	dec := Decode(rec)
-
 	pruned := makeP1(3, 4, 16)
 	PruneInPlace(pruned, Config{Threshold: 0.1})
 
-	dm, pm := dec.Matrices(), pruned.Matrices()
-	for i := range dm {
-		if !dm[i].Equal(pm[i], 0) {
+	om, pm := orig.Matrices(), pruned.Matrices()
+	for i := range om {
+		dec := compress.Encode(om[i], 0.1).MustDecode(nil)
+		if !dec.Equal(pm[i], 0) {
 			t.Fatalf("plane %d: codec path differs from in-place pruning", i)
 		}
-	}
-}
-
-func TestCellRecordBytesSaveSpace(t *testing.T) {
-	p1 := makeP1(4, 8, 64)
-	rec := Encode(p1, Config{Threshold: 0.1})
-	if rec.Bytes() >= rec.DenseBytes() {
-		t.Fatalf("compressed %d must be below dense %d at realistic sparsity (%.2f)",
-			rec.Bytes(), rec.DenseBytes(), rec.Sparsity())
-	}
-	if rec.Sparsity() < 0.2 {
-		t.Fatalf("unexpectedly dense P1: sparsity %v", rec.Sparsity())
-	}
-}
-
-func TestStorePutGet(t *testing.T) {
-	s := NewStore(2, 3, Config{Threshold: 0.1})
-	p1 := makeP1(5, 2, 8)
-	s.Put(1, 2, p1)
-	got := s.Get(1, 2)
-	if got == nil {
-		t.Fatal("Get returned nil")
-	}
-	if s.Get(0, 0) != nil {
-		t.Fatal("unset cell must return nil")
-	}
-	if s.Bytes() <= 0 || s.DenseBytes() <= 0 {
-		t.Fatal("store byte accounting")
-	}
-}
-
-func TestStoreCompressesRealisticCells(t *testing.T) {
-	s := NewStore(1, 2, Config{Threshold: 0.1})
-	s.Put(0, 0, makeP1(8, 16, 128))
-	s.Put(0, 1, makeP1(9, 16, 128))
-	if s.Bytes() >= s.DenseBytes() {
-		t.Fatalf("store must compress realistic cells: %d vs %d (sparsity %.2f)",
-			s.Bytes(), s.DenseBytes(), s.MeanSparsity())
-	}
-}
-
-func TestStoreIndexPanics(t *testing.T) {
-	s := NewStore(2, 3, Config{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Get(2, 0)
-}
-
-func TestStoreMeanSparsity(t *testing.T) {
-	s := NewStore(1, 2, Config{Threshold: 0.1})
-	if s.MeanSparsity() != 0 {
-		t.Fatal("empty store sparsity must be 0")
-	}
-	s.Put(0, 0, makeP1(6, 4, 32))
-	s.Put(0, 1, makeP1(7, 4, 32))
-	ms := s.MeanSparsity()
-	if ms <= 0 || ms >= 1 {
-		t.Fatalf("MeanSparsity: %v", ms)
 	}
 }
 

@@ -3,7 +3,7 @@
 // per-process flight recorder — a bounded ring of completed spans that
 // GET /debug/traces serves and SIGQUIT dumps.
 //
-// It is deliberately distinct from internal/trace, which models DRAM
+// It is deliberately distinct from internal/traffic, which models DRAM
 // data movement for the paper's cost analysis; rtrace traces the
 // running system (requests through the fleet, sweeps through the
 // batcher, optimizer steps through the distributed trainer).
