@@ -3,7 +3,7 @@ GO ?= go
 # Budget per fuzz target for `make fuzz` (go test -fuzztime syntax).
 FUZZTIME ?= 30s
 
-.PHONY: build test race bench bench-smoke vet fmt check fuzz cover serve-smoke obs-smoke longseq-smoke dist-smoke fleet-smoke trace-smoke all
+.PHONY: build test race bench bench-smoke vet fmt fma check fuzz cover serve-smoke obs-smoke longseq-smoke dist-smoke fleet-smoke trace-smoke all
 
 all: build test
 
@@ -139,6 +139,32 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# fma fails if a package whose results must be bitwise equal on every
+# GOARCH contains a fused multiply-add. The Go spec lets a compiler fuse
+# x*y + z into one rounding unless an explicit float32(...) or
+# float64(...) conversion rounds the product first. amd64 never fuses,
+# so the check cross-compiles each package for the three targets that
+# do and disassembles its archive, which holds only non-test code.
+# s390x's disassembler prints GNU mnemonics (MAEBR, MADBR, ...), hence
+# the longer pattern. rng and train are covered; the kernel packages
+# (tensor, lstm, model, compress) join once their products carry the
+# same explicit rounding.
+FMA_PKGS = rng train
+FMA_ARCHS = arm64 ppc64le s390x
+fma:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; bad=0; \
+	for arch in $(FMA_ARCHS); do \
+		for pkg in $(FMA_PKGS); do \
+			GOARCH=$$arch $(GO) build -o "$$tmp/$$pkg.a" ./internal/$$pkg; \
+			out=$$($(GO) tool objdump "$$tmp/$$pkg.a" | awk -v pkg="etalstm/internal/$$pkg." \
+				'/^TEXT /{fn = $$2; next} \
+				index(fn, pkg) == 1 && $$4 ~ /^(FN?M(ADD|SUB)|V?FML[AS]|[VW]FN?M[AS]|X[SV]N?M(ADD|SUB)|M[AS][DE]BR?$$)/ {print fn ": " $$0}'); \
+			if [ -n "$$out" ]; then echo "fma: fused multiply-add in $$pkg on $$arch:"; echo "$$out"; bad=1; fi; \
+		done; \
+	done; \
+	if [ $$bad != 0 ]; then exit 1; fi; \
+	echo "fma: no fused multiply-add in $(FMA_PKGS) on $(FMA_ARCHS)"
+
 # check is the pre-commit gate: vet + formatting + build + tests +
-# the benchmark module's smoke run.
-check: vet fmt build test bench-smoke
+# the fused-multiply-add check + the benchmark module's smoke run.
+check: vet fmt build test fma bench-smoke

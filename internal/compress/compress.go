@@ -106,15 +106,6 @@ func (s *Sparse) MustDecode(dst *tensor.Matrix) *tensor.Matrix {
 // NNZ returns the number of retained (nonzero) entries.
 func (s *Sparse) NNZ() int { return len(s.Values) }
 
-// Sparsity returns the pruned fraction in [0, 1].
-func (s *Sparse) Sparsity() float64 {
-	total := s.Rows * s.Cols
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(len(s.Values))/float64(total)
-}
-
 // Bytes returns the encoded size: 4 B per value + 2 B per index (the
 // DMA stores 16-bit indices relative to a 64 Ki-element tile; larger
 // matrices are tiled, adding one 4 B tile header per 64 Ki elements).
@@ -122,14 +113,4 @@ func (s *Sparse) Bytes() int64 {
 	const tileElems = 1 << 16
 	tiles := (int64(s.Rows)*int64(s.Cols) + tileElems - 1) / tileElems
 	return int64(len(s.Values))*4 + int64(len(s.Indices))*2 + tiles*4
-}
-
-// CompressionRatio returns encoded bytes / dense bytes (lower is
-// better; 1.0 means no saving).
-func (s *Sparse) CompressionRatio() float64 {
-	dense := int64(s.Rows) * int64(s.Cols) * 4
-	if dense == 0 {
-		return 1
-	}
-	return float64(s.Bytes()) / float64(dense)
 }

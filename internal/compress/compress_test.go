@@ -54,13 +54,13 @@ func TestDecodeShapePanic(t *testing.T) {
 func TestSparsity(t *testing.T) {
 	m := tensor.New(10, 10) // all zero
 	s := Encode(m, 0.1)
-	if s.Sparsity() != 1 {
-		t.Fatalf("all-zero sparsity: %v", s.Sparsity())
+	if len(s.Values) != 0 || s.Rows*s.Cols != 100 {
+		t.Fatalf("all-zero: %d of %d×%d kept, want none of 100", len(s.Values), s.Rows, s.Cols)
 	}
 	m.Fill(1)
 	s = Encode(m, 0.1)
-	if s.Sparsity() != 0 {
-		t.Fatalf("dense sparsity: %v", s.Sparsity())
+	if len(s.Values) != 100 {
+		t.Fatalf("dense: %d of 100 kept", len(s.Values))
 	}
 }
 
@@ -72,8 +72,8 @@ func TestBytesAccounting(t *testing.T) {
 	if s.Bytes() != 100*4+100*2+4 {
 		t.Fatalf("Bytes: %d", s.Bytes())
 	}
-	if r := s.CompressionRatio(); r <= 1 {
-		t.Fatalf("dense data must not 'compress': ratio %v", r)
+	if dense := int64(s.Rows*s.Cols) * 4; s.Bytes() <= dense {
+		t.Fatalf("dense data must not 'compress': %d encoded bytes of %d", s.Bytes(), dense)
 	}
 }
 
@@ -89,11 +89,11 @@ func TestCompressionWinsAtHighSparsity(t *testing.T) {
 		}
 	}
 	s := Encode(m, 0.1)
-	if s.Sparsity() < 0.6 {
-		t.Fatalf("expected ~0.65 sparsity, got %v", s.Sparsity())
+	if sparsity := 1 - float64(len(s.Values))/float64(s.Rows*s.Cols); sparsity < 0.6 {
+		t.Fatalf("expected ~0.65 sparsity, got %v", sparsity)
 	}
-	if s.CompressionRatio() > 0.6 {
-		t.Fatalf("expected <0.6 ratio at 65%% sparsity, got %v", s.CompressionRatio())
+	if ratio := float64(s.Bytes()) / float64(s.Rows*s.Cols*4); ratio > 0.6 {
+		t.Fatalf("expected <0.6 ratio at 65%% sparsity, got %v", ratio)
 	}
 }
 

@@ -165,6 +165,10 @@ type Trainer struct {
 	// replicas is the replica set of the step loop: Net, then
 	// Workers-1 clones (built by the first epoch; see setReplicas).
 	replicas []*model.Network
+	// grads holds one gradient set per replica slot. A slot's set is
+	// zeroed and refilled by every batch the slot runs, so a step
+	// allocates no gradients.
+	grads []*model.Gradients
 	// placement is the cached checkpoint placement for Cfg.MemoryBudget
 	// (nil until first resolved; see Placement).
 	placement *memplan.Placement
@@ -265,7 +269,10 @@ func (tr *Trainer) planFor(epoch int) *skip.Plan {
 func (tr *Trainer) batchFn(epoch int, plan *skip.Plan, policy model.StoragePolicy, calibrating bool, boundaries []int) batchFn {
 	return func(net *model.Network, batch train.Batch, b int) (batchResult, error) {
 		var out batchResult
-		grads := net.NewGradients()
+		// Slot i runs batch g·W+i (see engine.go), so the batches of one
+		// group never share a set.
+		grads := tr.grads[b%len(tr.grads)]
+		grads.Zero()
 		opts := model.BackwardOpts{
 			SparseBP: tr.Cfg.SparseBackward && tr.Cfg.EnableMS1,
 			TopK:     tr.Cfg.BackwardTopK,

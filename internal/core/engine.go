@@ -78,8 +78,10 @@ func (tr *Trainer) setReplicas() {
 	w := max(tr.Workers, 1)
 	if len(tr.replicas) != w || tr.replicas[0] != tr.Net {
 		tr.replicas = []*model.Network{tr.Net}
+		tr.grads = []*model.Gradients{tr.Net.NewGradients()}
 		for len(tr.replicas) < w {
 			tr.replicas = append(tr.replicas, tr.Net.Clone())
+			tr.grads = append(tr.grads, tr.Net.NewGradients())
 		}
 	}
 	tr.Net.Workspace().SetRecorder(tr.rec)

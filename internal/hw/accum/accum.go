@@ -41,9 +41,6 @@ func NewStreaming(addLatency int) *Streaming {
 	return &Streaming{AddLatency: addLatency}
 }
 
-// Cycle returns the current cycle (number of Push/Idle steps so far).
-func (s *Streaming) Cycle() int64 { return s.cycle }
-
 // retire moves finished pipeline entries to the partial queue. Called
 // at the start of each cycle.
 func (s *Streaming) retire() {

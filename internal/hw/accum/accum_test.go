@@ -63,8 +63,8 @@ func TestStreamingOneInputPerCycle(t *testing.T) {
 	s := NewStreaming(8)
 	for i := 0; i < 100; i++ {
 		s.Push(1)
-		if s.Cycle() != int64(i+1) {
-			t.Fatalf("input stalled at cycle %d", s.Cycle())
+		if s.cycle != int64(i+1) {
+			t.Fatalf("input stalled at cycle %d", s.cycle)
 		}
 	}
 }

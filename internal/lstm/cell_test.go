@@ -230,21 +230,19 @@ func TestGradsScaleAndAdd(t *testing.T) {
 	}
 }
 
-func TestParamsCloneIndependent(t *testing.T) {
-	p, _, _, _ := newTestSetup(11, 3, 3, 1)
-	c := p.Clone()
-	c.W[GateF].Set(0, 0, 42)
-	if p.W[GateF].At(0, 0) == 42 {
-		t.Fatal("Clone must deep-copy")
-	}
-}
-
-func TestParamsBytes(t *testing.T) {
+func TestLayerLen(t *testing.T) {
 	p := NewParams(10, 20)
-	// 4 gates × (10·20 + 20·20 + 20) floats × 4 bytes
-	want := int64(4 * (200 + 400 + 20) * 4)
-	if p.Bytes() != want {
-		t.Fatalf("Bytes: got %d want %d", p.Bytes(), want)
+	// 4 gates × (10·20 + 20·20 + 20) floats
+	want := 4 * (200 + 400 + 20)
+	if got := LayerLen(10, 20); got != want {
+		t.Fatalf("LayerLen: got %d want %d", got, want)
+	}
+	n := 0
+	for g := Gate(0); g < NumGates; g++ {
+		n += p.W[g].Size() + p.U[g].Size() + len(p.B[g])
+	}
+	if n != want {
+		t.Fatalf("NewParams holds %d values, want %d", n, want)
 	}
 }
 

@@ -58,16 +58,44 @@ type Params struct {
 	B [NumGates][]float32      // len Hidden
 }
 
+// LayerLen returns how many float32 values one layer's W, U and B
+// take: 4 gates × (input·hidden + hidden·hidden + hidden).
+func LayerLen(input, hidden int) int {
+	return int(NumGates) * (input*hidden + hidden*hidden + hidden)
+}
+
+// carve lays a layer's weights out over buf (len LayerLen) as views, in
+// checkpoint payload order: per gate W, U, B.
+func carve(buf []float32, input, hidden int) (w, u [NumGates]*tensor.Matrix, b [NumGates][]float32) {
+	if len(buf) != LayerLen(input, hidden) {
+		panic(fmt.Sprintf("lstm: %d-value buffer for a %d×%d layer of %d", len(buf), input, hidden, LayerLen(input, hidden)))
+	}
+	take := func(n int) []float32 {
+		v := buf[:n:n]
+		buf = buf[n:]
+		return v
+	}
+	for g := Gate(0); g < NumGates; g++ {
+		w[g] = tensor.NewFromData(input, hidden, take(input*hidden))
+		u[g] = tensor.NewFromData(hidden, hidden, take(hidden*hidden))
+		b[g] = take(hidden)
+	}
+	return w, u, b
+}
+
+// NewParamsOn returns a layer's parameters as views of buf, which must
+// hold LayerLen(input, hidden) values; writes through either reach the
+// other. A network carves every layer from its one parameter vector.
+func NewParamsOn(buf []float32, input, hidden int) *Params {
+	p := &Params{Input: input, Hidden: hidden}
+	p.W, p.U, p.B = carve(buf, input, hidden)
+	return p
+}
+
 // NewParams allocates zeroed parameters for a layer with the given
 // input and hidden widths.
 func NewParams(input, hidden int) *Params {
-	p := &Params{Input: input, Hidden: hidden}
-	for g := Gate(0); g < NumGates; g++ {
-		p.W[g] = tensor.New(input, hidden)
-		p.U[g] = tensor.New(hidden, hidden)
-		p.B[g] = make([]float32, hidden)
-	}
-	return p
+	return NewParamsOn(make([]float32, LayerLen(input, hidden)), input, hidden)
 }
 
 // Init fills the parameters with the standard LSTM initialization:
@@ -86,26 +114,6 @@ func (p *Params) Init(r *rng.RNG) {
 	}
 }
 
-// Bytes returns the parameter storage in bytes.
-func (p *Params) Bytes() int64 {
-	var b int64
-	for g := Gate(0); g < NumGates; g++ {
-		b += p.W[g].Bytes() + p.U[g].Bytes() + int64(len(p.B[g]))*4
-	}
-	return b
-}
-
-// Clone returns a deep copy of p.
-func (p *Params) Clone() *Params {
-	c := NewParams(p.Input, p.Hidden)
-	for g := Gate(0); g < NumGates; g++ {
-		c.W[g].CopyFrom(p.W[g])
-		c.U[g].CopyFrom(p.U[g])
-		copy(c.B[g], p.B[g])
-	}
-	return c
-}
-
 // Grads accumulates weight gradients for one layer across its unrolled
 // BP cells (paper Eq. 3's "+=" accumulation).
 type Grads struct {
@@ -117,15 +125,17 @@ type Grads struct {
 	B [NumGates][]float32
 }
 
+// NewGradsOn returns a layer's gradients as views of buf, laid out as
+// NewParamsOn lays out parameters.
+func NewGradsOn(buf []float32, input, hidden int) *Grads {
+	g := &Grads{Input: input, Hidden: hidden}
+	g.W, g.U, g.B = carve(buf, input, hidden)
+	return g
+}
+
 // NewGrads allocates zeroed gradients matching p's shapes.
 func NewGrads(p *Params) *Grads {
-	g := &Grads{Input: p.Input, Hidden: p.Hidden}
-	for i := Gate(0); i < NumGates; i++ {
-		g.W[i] = tensor.New(p.Input, p.Hidden)
-		g.U[i] = tensor.New(p.Hidden, p.Hidden)
-		g.B[i] = make([]float32, p.Hidden)
-	}
-	return g
+	return NewGradsOn(make([]float32, LayerLen(p.Input, p.Hidden)), p.Input, p.Hidden)
 }
 
 // Zero clears all accumulated gradients.

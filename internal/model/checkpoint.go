@@ -492,6 +492,14 @@ func (n *Network) BackwardCheckpointed(res *ForwardResult, policy StoragePolicy,
 	res.projG = nil
 	ws := n.Workspace()
 	rec := ws.Recorder()
+	// cellBuf holds each layer's per-cell gradients for OnCell, zeroed
+	// and reused from one cell to the next.
+	var cellBuf []*lstm.Grads
+	if opts.OnCell != nil {
+		for _, p := range n.Layer {
+			cellBuf = append(cellBuf, lstm.NewGrads(p))
+		}
+	}
 
 	// Fold the FW-accumulated projection gradients. grads starts zero,
 	// so this addition is exact.
@@ -572,7 +580,8 @@ func (n *Network) BackwardCheckpointed(res *ForwardResult, policy StoragePolicy,
 				target := grads.Layer[l]
 				var cellGrads *lstm.Grads
 				if opts.OnCell != nil {
-					cellGrads = lstm.NewGrads(n.Layer[l])
+					cellGrads = cellBuf[l]
+					cellGrads.Zero()
 					target = cellGrads
 				}
 

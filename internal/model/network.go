@@ -11,12 +11,17 @@ import (
 // Network is a stacked LSTM with a linear output projection. Layer 0
 // consumes the external inputs; layer l>0 consumes layer l-1's hidden
 // outputs. All unrolled cells of a layer share one lstm.Params.
+//
+// Every weight lives in one vector (Params); Layer, Proj and ProjB are
+// views of it, so a write through either reaches the other.
 type Network struct {
 	Cfg Config
 
 	Layer []*lstm.Params // len Cfg.Layers
 	Proj  *tensor.Matrix // Hidden×OutSize
 	ProjB []float32      // len OutSize
+
+	params []float32
 
 	// ws recycles FW/BP scratch across sequences (see Workspace). It
 	// makes the network single-goroutine for forward/backward passes:
@@ -74,28 +79,59 @@ func Alloc(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{Cfg: cfg, ProjB: make([]float32, cfg.OutSize)}
-	for l := 0; l < cfg.Layers; l++ {
-		in := cfg.Hidden
-		if l == 0 {
-			in = cfg.InputSize
-		}
-		n.Layer = append(n.Layer, lstm.NewParams(in, cfg.Hidden))
+	return alloc(cfg), nil
+}
+
+// alloc is Alloc for a validated cfg.
+func alloc(cfg Config) *Network {
+	n := &Network{Cfg: cfg, params: make([]float32, cfg.paramLen())}
+	n.Layer, n.Proj, n.ProjB = carve(cfg, n.params, lstm.NewParamsOn)
+	return n
+}
+
+// Params returns the vector every weight lives in, in checkpoint
+// payload order: per layer, per gate W, U, B; then Proj and ProjB.
+func (n *Network) Params() []float32 { return n.params }
+
+// paramLen returns how many weights a network of c's geometry has.
+func (c Config) paramLen() int {
+	n := c.Hidden*c.OutSize + c.OutSize
+	for l := 0; l < c.Layers; l++ {
+		n += lstm.LayerLen(c.layerInput(l), c.Hidden)
 	}
-	n.Proj = tensor.New(cfg.Hidden, cfg.OutSize)
-	return n, nil
+	return n
+}
+
+// layerInput returns layer l's input width: the external inputs for
+// layer 0, the layer below's hidden outputs above it.
+func (c Config) layerInput(l int) int {
+	if l == 0 {
+		return c.InputSize
+	}
+	return c.Hidden
+}
+
+// carve lays cfg's layers (made by on), projection and projection bias
+// out over vec, which holds cfg.paramLen() values, in payload order.
+// Networks carve their weights with it and Gradients their gradients,
+// so the two share one layout.
+func carve[L any](cfg Config, vec []float32, on func(buf []float32, input, hidden int) L) ([]L, *tensor.Matrix, []float32) {
+	layers := make([]L, cfg.Layers)
+	for l := range layers {
+		n := lstm.LayerLen(cfg.layerInput(l), cfg.Hidden)
+		layers[l] = on(vec[:n:n], cfg.layerInput(l), cfg.Hidden)
+		vec = vec[n:]
+	}
+	n := cfg.Hidden * cfg.OutSize
+	return layers, tensor.NewFromData(cfg.Hidden, cfg.OutSize, vec[:n:n]), vec[n:]
 }
 
 // Clone returns a deep copy of n: same geometry, independent parameter
 // storage. Data-parallel replicas are built from clones so concurrent
 // FW/BP passes never share mutable weight memory with the master.
 func (n *Network) Clone() *Network {
-	c := &Network{Cfg: n.Cfg, ProjB: make([]float32, len(n.ProjB))}
-	for _, p := range n.Layer {
-		c.Layer = append(c.Layer, p.Clone())
-	}
-	c.Proj = n.Proj.Clone()
-	copy(c.ProjB, n.ProjB)
+	c := alloc(n.Cfg)
+	copy(c.params, n.params)
 	return c
 }
 
@@ -107,29 +143,13 @@ func (n *Network) CopyWeightsFrom(src *Network) error {
 	if n.Cfg != src.Cfg {
 		return fmt.Errorf("model: CopyWeightsFrom geometry mismatch: %+v vs %+v", n.Cfg, src.Cfg)
 	}
-	for l, p := range n.Layer {
-		sp := src.Layer[l]
-		for g := 0; g < len(p.W); g++ {
-			p.W[g].CopyFrom(sp.W[g])
-			p.U[g].CopyFrom(sp.U[g])
-			copy(p.B[g], sp.B[g])
-		}
-	}
-	n.Proj.CopyFrom(src.Proj)
-	copy(n.ProjB, src.ProjB)
+	copy(n.params, src.params)
 	return nil
 }
 
 // ParamBytes returns total parameter storage (weight matrices +
 // projection), the "Parameter" bar of paper Fig. 5.
-func (n *Network) ParamBytes() int64 {
-	var b int64
-	for _, p := range n.Layer {
-		b += p.Bytes()
-	}
-	b += n.Proj.Bytes() + int64(len(n.ProjB))*4
-	return b
-}
+func (n *Network) ParamBytes() int64 { return int64(len(n.params)) * 4 }
 
 // Targets carries supervision for one minibatch. Exactly one of the
 // fields is consulted, selected by Config.Loss:
@@ -143,7 +163,9 @@ type Targets struct {
 	Regress []*tensor.Matrix // [t], each batch×OutSize
 }
 
-// Gradients collects the result of one BP pass.
+// Gradients collects the result of one BP pass. Like a Network's
+// weights, every gradient lives in one vector (Vec) laid out as
+// Network.Params, and Layer, Proj and ProjB are views of it.
 type Gradients struct {
 	Layer []*lstm.Grads  // per layer, accumulated over timestamps
 	Proj  *tensor.Matrix // Hidden×OutSize
@@ -152,19 +174,13 @@ type Gradients struct {
 	SkippedCells int
 	// ExecutedCells counts BP cells actually run.
 	ExecutedCells int
+
+	cfg Config
+	vec []float32
 }
 
 // NewGradients allocates zeroed gradients for n.
-func (n *Network) NewGradients() *Gradients {
-	g := &Gradients{
-		Proj:  tensor.New(n.Cfg.Hidden, n.Cfg.OutSize),
-		ProjB: make([]float32, n.Cfg.OutSize),
-	}
-	for _, p := range n.Layer {
-		g.Layer = append(g.Layer, lstm.NewGrads(p))
-	}
-	return g
-}
+func (n *Network) NewGradients() *Gradients { return newGradients(n.Cfg) }
 
 // NewGradientsFor allocates zeroed gradients shaped for cfg without
 // building a network — the decode template the distributed gradient
@@ -173,37 +189,37 @@ func NewGradientsFor(cfg Config) (*Gradients, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Gradients{
-		Proj:  tensor.New(cfg.Hidden, cfg.OutSize),
-		ProjB: make([]float32, cfg.OutSize),
-	}
-	for l := 0; l < cfg.Layers; l++ {
-		in := cfg.Hidden
-		if l == 0 {
-			in = cfg.InputSize
-		}
-		lg := &lstm.Grads{Input: in, Hidden: cfg.Hidden}
-		for i := lstm.Gate(0); i < lstm.NumGates; i++ {
-			lg.W[i] = tensor.New(in, cfg.Hidden)
-			lg.U[i] = tensor.New(cfg.Hidden, cfg.Hidden)
-			lg.B[i] = make([]float32, cfg.Hidden)
-		}
-		g.Layer = append(g.Layer, lg)
-	}
-	return g, nil
+	return newGradients(cfg), nil
 }
+
+// newGradients allocates zeroed gradients for a validated cfg.
+func newGradients(cfg Config) *Gradients {
+	g := &Gradients{cfg: cfg, vec: make([]float32, cfg.paramLen())}
+	g.Layer, g.Proj, g.ProjB = carve(cfg, g.vec, lstm.NewGradsOn)
+	return g
+}
+
+// Zero clears every gradient and both cell counters, so g can take
+// the next BP pass.
+func (g *Gradients) Zero() {
+	clear(g.vec)
+	g.SkippedCells, g.ExecutedCells = 0, 0
+}
+
+// Vec returns the vector every gradient lives in, in the order of
+// Network.Params, so the i-th gradient belongs to the i-th weight.
+func (g *Gradients) Vec() []float32 { return g.vec }
 
 // Add accumulates o into g (shapes must match). The skip/execute
 // counters sum as well, so a merged gradient set reports the combined
 // BP-cell accounting of its contributors. This is the element step of
 // the data-parallel tree all-reduce.
 func (g *Gradients) Add(o *Gradients) {
-	for l, lg := range g.Layer {
-		lg.Add(o.Layer[l])
+	if len(o.vec) != len(g.vec) {
+		panic(fmt.Sprintf("model: Gradients.Add of %d values into %d", len(o.vec), len(g.vec)))
 	}
-	tensor.AddInPlace(g.Proj, o.Proj)
-	for i := range g.ProjB {
-		g.ProjB[i] += o.ProjB[i]
+	for i, x := range o.vec {
+		g.vec[i] += x
 	}
 	g.SkippedCells += o.SkippedCells
 	g.ExecutedCells += o.ExecutedCells
@@ -213,34 +229,17 @@ func (g *Gradients) Add(o *Gradients) {
 // The equivalence harness snapshots merged gradients with it before a
 // reducer mutates them in place.
 func (g *Gradients) Clone() *Gradients {
-	c := &Gradients{
-		Proj:          g.Proj.Clone(),
-		ProjB:         make([]float32, len(g.ProjB)),
-		SkippedCells:  g.SkippedCells,
-		ExecutedCells: g.ExecutedCells,
-	}
-	copy(c.ProjB, g.ProjB)
-	for _, lg := range g.Layer {
-		nl := &lstm.Grads{Input: lg.Input, Hidden: lg.Hidden}
-		for i := lstm.Gate(0); i < lstm.NumGates; i++ {
-			nl.W[i] = lg.W[i].Clone()
-			nl.U[i] = lg.U[i].Clone()
-			nl.B[i] = append([]float32(nil), lg.B[i]...)
-		}
-		c.Layer = append(c.Layer, nl)
-	}
+	c := newGradients(g.cfg)
+	copy(c.vec, g.vec)
+	c.SkippedCells, c.ExecutedCells = g.SkippedCells, g.ExecutedCells
 	return c
 }
 
 // Scale multiplies every gradient entry by s (replica averaging after
 // an all-reduce; the cell counters are left untouched).
 func (g *Gradients) Scale(s float32) {
-	for _, lg := range g.Layer {
-		lg.Scale(s)
-	}
-	tensor.Scale(g.Proj, g.Proj, s)
-	for i := range g.ProjB {
-		g.ProjB[i] *= s
+	for i := range g.vec {
+		g.vec[i] *= s
 	}
 }
 
@@ -249,7 +248,8 @@ type BackwardOpts struct {
 	// OnCell, when non-nil, receives each executed BP cell's own weight
 	// gradients before they are merged into the layer total. Used to
 	// collect the per-timestamp magnitudes of paper Fig. 8. Costs one
-	// extra Grads allocation per cell.
+	// extra Grads per layer, which the layer's next cell zeroes and
+	// reuses, so the hook must not keep cell past its return.
 	OnCell func(layer, t int, cell *lstm.Grads)
 
 	// OnP1, when non-nil, is invoked once for every P1 set the BP pass

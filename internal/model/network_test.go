@@ -434,7 +434,9 @@ func TestParamBytes(t *testing.T) {
 	n, _ := NewNetwork(cfg, r)
 	var want int64
 	for _, p := range n.Layer {
-		want += p.Bytes()
+		for g := range p.W {
+			want += p.W[g].Bytes() + p.U[g].Bytes() + int64(len(p.B[g]))*4
+		}
 	}
 	want += n.Proj.Bytes() + int64(cfg.OutSize)*4
 	if n.ParamBytes() != want {
@@ -519,5 +521,86 @@ func TestGradientsAddScale(t *testing.T) {
 	}
 	if a.SkippedCells != 4 || a.ExecutedCells != 6 {
 		t.Fatal("Scale must leave cell counters untouched")
+	}
+}
+
+// TestParamVectorLayout: every W, U, B, Proj and ProjB view of a
+// network, and of a gradient set, lies in its one vector in checkpoint
+// payload order, back to back, covering it exactly; a Clone of either
+// shares no storage with the original.
+func TestParamVectorLayout(t *testing.T) {
+	cfg := testConfig(SingleLoss)
+	n, err := NewNetwork(cfg, rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := n.NewGradients()
+	layer := func(w, u [lstm.NumGates]*tensor.Matrix, b [lstm.NumGates][]float32) (vs [][]float32) {
+		for i := range w {
+			vs = append(vs, w[i].Data, u[i].Data, b[i])
+		}
+		return vs
+	}
+	var nv, gv [][]float32
+	for l := range n.Layer {
+		nv = append(nv, layer(n.Layer[l].W, n.Layer[l].U, n.Layer[l].B)...)
+		gv = append(gv, layer(g.Layer[l].W, g.Layer[l].U, g.Layer[l].B)...)
+	}
+	for _, c := range []struct {
+		name  string
+		vec   []float32
+		views [][]float32
+	}{
+		{"network", n.Params(), append(nv, n.Proj.Data, n.ProjB)},
+		{"gradients", g.Vec(), append(gv, g.Proj.Data, g.ProjB)},
+	} {
+		off := 0
+		for i, v := range c.views {
+			if len(v) == 0 || &v[0] != &c.vec[off] || cap(v) != len(v) {
+				t.Fatalf("%s: view %d is not vec[%d:%d]", c.name, i, off, off+len(v))
+			}
+			off += len(v)
+		}
+		if off != len(c.vec) {
+			t.Fatalf("%s: views cover %d of %d values", c.name, off, len(c.vec))
+		}
+	}
+	if int64(len(n.Params()))*4 != n.ParamBytes() {
+		t.Fatalf("vector holds %d values, ParamBytes %d", len(n.Params()), n.ParamBytes())
+	}
+
+	// A write through a view reaches the vector: layer 1 starts after
+	// layer 0; its gate 2's U follows two gates' W, U, B and its own W.
+	h := cfg.Hidden
+	n.Layer[1].U[2].Data[3] = 42
+	if off := lstm.LayerLen(cfg.InputSize, h) + 2*(2*h*h+h) + h*h + 3; n.Params()[off] != 42 {
+		t.Fatal("a write through Layer[1].U[2] did not reach Params()")
+	}
+
+	// A clone shares no storage: every value of the original moves,
+	// none of the clone's.
+	c, gc := n.Clone(), g.Clone()
+	for _, p := range []struct{ orig, clone []float32 }{{n.Params(), c.Params()}, {g.Vec(), gc.Vec()}} {
+		want := append([]float32(nil), p.clone...)
+		for i := range p.orig {
+			p.orig[i] += 1
+		}
+		for i := range p.clone {
+			if p.clone[i] != want[i] {
+				t.Fatalf("clone value %d moved with the original", i)
+			}
+		}
+	}
+}
+
+// BenchmarkNewNetwork times building and initialising a network at
+// train_dense's geometry (IMDB at H=64, D=16, L=3).
+func BenchmarkNewNetwork(b *testing.B) {
+	cfg := Config{InputSize: 16, Hidden: 64, Layers: 3, SeqLen: 100, Batch: 16, OutSize: 2, Loss: SingleLoss}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewNetwork(cfg, rng.New(uint64(i))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -55,23 +55,12 @@ const headerBytes = 7 * 8
 // encBufSize is the encoder's fixed staging buffer.
 const encBufSize = 8 << 10
 
-// weights returns net's parameter slices in payload order: per layer,
-// per gate W, U, B; then the projection and its bias. The encoder and
-// the decoder both walk this list, so the two cannot disagree on order.
-func weights(net *model.Network) [][]float32 {
-	ws := make([][]float32, 0, 3*int(lstm.NumGates)*len(net.Layer)+2)
-	for _, p := range net.Layer {
-		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
-			ws = append(ws, p.W[g].Data, p.U[g].Data, p.B[g])
-		}
-	}
-	return append(ws, net.Proj.Data, net.ProjB)
-}
-
 // encode streams net's version-independent payload — config header,
 // then every weight little-endian — to w through one fixed buffer. Save
 // and Digest both go through it, so a stored digest and Digest(net)
-// always hash the same bytes.
+// always hash the same bytes. The weights are net.Params(), which is
+// already in payload order (per layer, per gate W, U, B; then the
+// projection and its bias).
 func encode(w io.Writer, net *model.Network) error {
 	buf := make([]byte, encBufSize)
 	cfg := net.Cfg
@@ -80,17 +69,15 @@ func encode(w io.Writer, net *model.Network) error {
 		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
 	}
 	n := headerBytes
-	for _, fs := range weights(net) {
-		for _, f := range fs {
-			if n == len(buf) {
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				n = 0
+	for _, f := range net.Params() {
+		if n == len(buf) {
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
-			binary.LittleEndian.PutUint32(buf[n:], math.Float32bits(f))
-			n += 4
+			n = 0
 		}
+		binary.LittleEndian.PutUint32(buf[n:], math.Float32bits(f))
+		n += 4
 	}
 	_, err := w.Write(buf[:n])
 	return err
@@ -205,12 +192,9 @@ func parsePayload(body []byte) (*model.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	off := headerBytes
-	for _, fs := range weights(net) {
-		for i := range fs {
-			fs[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
-			off += 4
-		}
+	p, ws := net.Params(), body[headerBytes:]
+	for i := range p {
+		p[i] = math.Float32frombits(binary.LittleEndian.Uint32(ws[4*i:]))
 	}
 	return net, nil
 }

@@ -198,3 +198,48 @@ func TestPropertySameSeedSameStream(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFillUniformMatchesUniform pins FillUniform's stream contract: it
+// writes exactly the values successive Uniform calls return and leaves
+// the generator where they would, so two fills in sequence equal one
+// long fill.
+func TestFillUniformMatchesUniform(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 4096, 100003} {
+		want, got := New(uint64(n)+11), New(uint64(n)+11)
+		dst := make([]float32, n)
+		got.FillUniform(dst, -0.25, 0.75)
+		for i, v := range dst {
+			if w := want.Uniform(-0.25, 0.75); math.Float32bits(v) != math.Float32bits(w) {
+				t.Fatalf("n=%d: dst[%d] = %v, Uniform gives %v", n, i, v, w)
+			}
+		}
+		if got.x != want.x {
+			t.Fatalf("n=%d: state after FillUniform differs from after %d Uniform calls", n, n)
+		}
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Fatalf("n=%d: next draw %x, want %x", n, a, b)
+		}
+
+		whole, split := make([]float32, n), make([]float32, n)
+		New(5).FillUniform(whole, -1, 1)
+		r := New(5)
+		r.FillUniform(split[:n/3], -1, 1)
+		r.FillUniform(split[n/3:], -1, 1)
+		for i := range whole {
+			if math.Float32bits(whole[i]) != math.Float32bits(split[i]) {
+				t.Fatalf("n=%d: split fill differs at %d: %v vs %v", n, i, split[i], whole[i])
+			}
+		}
+	}
+}
+
+// BenchmarkFillUniform reports the cost of one streamed weight draw.
+func BenchmarkFillUniform(b *testing.B) {
+	r := New(1)
+	dst := make([]float32, 1<<16)
+	b.SetBytes(int64(len(dst)) * 4)
+	for i := 0; i < b.N; i++ {
+		r.FillUniform(dst, -0.1, 0.1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/weight")
+}

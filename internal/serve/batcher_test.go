@@ -425,14 +425,28 @@ func wavefrontNet(t testing.TB) *model.Network {
 	return net
 }
 
-// settledGoroutines waits (bounded) for the goroutine count to drop to
-// want — an exiting goroutine is counted until it is gone — and returns
-// the last count seen.
+// ownGoroutines counts the goroutines that etalstm code started. The
+// testing framework's runner goroutines are left out: the previous
+// test's runner may still be exiting when this test takes its baseline.
+func ownGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("\ncreated by etalstm/"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settledGoroutines waits (bounded) for ownGoroutines to drop to want
+// — an exiting goroutine is counted until it is gone — and returns the
+// last count seen.
 func settledGoroutines(want int) int {
-	n := runtime.NumGoroutine()
+	n := ownGoroutines()
 	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
-		n = runtime.NumGoroutine()
+		n = ownGoroutines()
 	}
 	return n
 }
@@ -445,6 +459,9 @@ func settledGoroutines(want int) int {
 func TestHTTPPoisonedHelperLayer(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(2))
 	net := wavefrontNet(t)
+	// An earlier server's goroutines may still be exiting after its
+	// Close; let them go before the baseline counts this server's own.
+	settledGoroutines(0)
 	s := New(net, "", Options{MaxBatch: 4, Workers: 1})
 	defer s.Close(context.Background())
 	ws := s.gen.Load().b.arenas[0]
@@ -459,7 +476,7 @@ func TestHTTPPoisonedHelperLayer(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(buf)))
 		return rec.Code, rec.Body.String()
 	}
-	baseline := runtime.NumGoroutine()
+	baseline := ownGoroutines()
 
 	for i := 0; i < 3; i++ {
 		if code, body := infer(); code != http.StatusOK {

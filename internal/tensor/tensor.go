@@ -98,9 +98,7 @@ func (m *Matrix) String() string {
 // RandInit fills m with Uniform(-scale, scale) values — the standard
 // LSTM initialization (scale typically 1/sqrt(hidden)).
 func (m *Matrix) RandInit(r *rng.RNG, scale float32) {
-	for i := range m.Data {
-		m.Data[i] = r.Uniform(-scale, scale)
-	}
+	r.FillUniform(m.Data, -scale, scale)
 }
 
 // XavierInit fills m with the Glorot uniform distribution for fanIn/fanOut.

@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"math"
 
-	"etalstm/internal/lstm"
 	"etalstm/internal/model"
-	"etalstm/internal/tensor"
 )
 
 // Optimizer applies accumulated gradients to a network's parameters.
@@ -26,77 +24,31 @@ type SGD struct {
 	LR       float32
 	Momentum float32
 
-	vel *velocity
-}
-
-// velocity mirrors the parameter shapes for momentum accumulation.
-type velocity struct {
-	layerW, layerU [][]*tensor.Matrix
-	layerB         [][][]float32
-	proj           *tensor.Matrix
-	projB          []float32
-}
-
-func newVelocity(net *model.Network) *velocity {
-	v := &velocity{
-		proj:  tensor.New(net.Proj.Rows, net.Proj.Cols),
-		projB: make([]float32, len(net.ProjB)),
-	}
-	for _, p := range net.Layer {
-		var ws, us []*tensor.Matrix
-		var bs [][]float32
-		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
-			ws = append(ws, tensor.New(p.W[g].Rows, p.W[g].Cols))
-			us = append(us, tensor.New(p.U[g].Rows, p.U[g].Cols))
-			bs = append(bs, make([]float32, len(p.B[g])))
-		}
-		v.layerW = append(v.layerW, ws)
-		v.layerU = append(v.layerU, us)
-		v.layerB = append(v.layerB, bs)
-	}
-	return v
+	vel []float32 // momentum, laid out as net.Params()
 }
 
 // Name implements Optimizer.
 func (s *SGD) Name() string { return fmt.Sprintf("sgd(lr=%g,mom=%g)", s.LR, s.Momentum) }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Every product is rounded on its own before
+// the add it feeds, so the step is bitwise the same on every target.
 func (s *SGD) Step(net *model.Network, grads *model.Gradients) {
+	param, grad := net.Params(), grads.Vec()
+	param = param[:len(grad)]
 	if s.Momentum != 0 && s.vel == nil {
-		s.vel = newVelocity(net)
+		s.vel = make([]float32, len(param))
 	}
-	applyVec := func(param, grad, vel []float32) {
-		for i := range param {
-			g := grad[i]
-			if vel != nil {
-				vel[i] = s.Momentum*vel[i] + g
-				g = vel[i]
-			}
-			param[i] -= s.LR * g
+	if vel := s.vel; vel != nil {
+		vel = vel[:len(grad)]
+		for i, g := range grad {
+			vel[i] = float32(s.Momentum*vel[i]) + g
+			param[i] -= float32(s.LR * vel[i])
 		}
+		return
 	}
-	for l, p := range net.Layer {
-		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
-			var vw, vu []float32
-			var vb []float32
-			if s.vel != nil {
-				vw = s.vel.layerW[l][g].Data
-				vu = s.vel.layerU[l][g].Data
-				vb = s.vel.layerB[l][g]
-			}
-			applyVec(p.W[g].Data, grads.Layer[l].W[g].Data, vw)
-			applyVec(p.U[g].Data, grads.Layer[l].U[g].Data, vu)
-			applyVec(p.B[g], grads.Layer[l].B[g], vb)
-		}
+	for i, g := range grad {
+		param[i] -= float32(s.LR * g)
 	}
-	var vp []float32
-	var vpb []float32
-	if s.vel != nil {
-		vp = s.vel.proj.Data
-		vpb = s.vel.projB
-	}
-	applyVec(net.Proj.Data, grads.Proj.Data, vp)
-	applyVec(net.ProjB, grads.ProjB, vpb)
 }
 
 // Adam implements the Adam optimizer (Kingma & Ba). The zero value is
@@ -108,13 +60,14 @@ type Adam struct {
 	Eps   float32 // default 1e-8
 
 	t    int
-	m, v *velocity
+	m, v []float32 // moments, laid out as net.Params()
 }
 
 // Name implements Optimizer.
 func (a *Adam) Name() string { return fmt.Sprintf("adam(lr=%g)", a.LR) }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Every product is rounded on its own before
+// the add it feeds, so the step is bitwise the same on every target.
 func (a *Adam) Step(net *model.Network, grads *model.Gradients) {
 	if a.Beta1 == 0 {
 		a.Beta1 = 0.9
@@ -125,33 +78,23 @@ func (a *Adam) Step(net *model.Network, grads *model.Gradients) {
 	if a.Eps == 0 {
 		a.Eps = 1e-8
 	}
+	param, grad := net.Params(), grads.Vec()
+	param = param[:len(grad)]
 	if a.m == nil {
-		a.m = newVelocity(net)
-		a.v = newVelocity(net)
+		a.m = make([]float32, len(param))
+		a.v = make([]float32, len(param))
 	}
 	a.t++
 	bc1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
 	bc2 := 1 - float32(math.Pow(float64(a.Beta2), float64(a.t)))
-
-	applyVec := func(param, grad, m, v []float32) {
-		for i := range param {
-			g := grad[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mh := m[i] / bc1
-			vh := v[i] / bc2
-			param[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
-		}
+	m, v := a.m[:len(grad)], a.v[:len(grad)]
+	for i, g := range grad {
+		m[i] = float32(a.Beta1*m[i]) + float32((1-a.Beta1)*g)
+		v[i] = float32(a.Beta2*v[i]) + float32((1-a.Beta2)*g*g)
+		mh := m[i] / bc1
+		vh := v[i] / bc2
+		param[i] -= float32(a.LR*mh) / (float32(math.Sqrt(float64(vh))) + a.Eps)
 	}
-	for l, p := range net.Layer {
-		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
-			applyVec(p.W[g].Data, grads.Layer[l].W[g].Data, a.m.layerW[l][g].Data, a.v.layerW[l][g].Data)
-			applyVec(p.U[g].Data, grads.Layer[l].U[g].Data, a.m.layerU[l][g].Data, a.v.layerU[l][g].Data)
-			applyVec(p.B[g], grads.Layer[l].B[g], a.m.layerB[l][g], a.v.layerB[l][g])
-		}
-	}
-	applyVec(net.Proj.Data, grads.Proj.Data, a.m.proj.Data, a.v.proj.Data)
-	applyVec(net.ProjB, grads.ProjB, a.m.projB, a.v.projB)
 }
 
 // ClipGradients rescales all gradients so their global L2 norm does not
@@ -159,37 +102,13 @@ func (a *Adam) Step(net *model.Network, grads *model.Gradients) {
 // It returns the pre-clip norm.
 func ClipGradients(grads *model.Gradients, maxNorm float64) float64 {
 	var sq float64
-	add := func(v float32) { sq += float64(v) * float64(v) }
-	for _, lg := range grads.Layer {
-		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
-			for _, v := range lg.W[g].Data {
-				add(v)
-			}
-			for _, v := range lg.U[g].Data {
-				add(v)
-			}
-			for _, v := range lg.B[g] {
-				add(v)
-			}
-		}
-	}
-	for _, v := range grads.Proj.Data {
-		add(v)
-	}
-	for _, v := range grads.ProjB {
-		add(v)
+	for _, v := range grads.Vec() {
+		sq += float64(float64(v) * float64(v))
 	}
 	norm := math.Sqrt(sq)
 	if norm <= maxNorm || norm == 0 {
 		return norm
 	}
-	scale := float32(maxNorm / norm)
-	for _, lg := range grads.Layer {
-		lg.Scale(scale)
-	}
-	tensor.Scale(grads.Proj, grads.Proj, scale)
-	for i := range grads.ProjB {
-		grads.ProjB[i] *= scale
-	}
+	grads.Scale(float32(maxNorm / norm))
 	return norm
 }
