@@ -146,13 +146,19 @@ fmt:
 # so the check cross-compiles each package for the three targets that
 # do and disassembles its archive, which holds only non-test code.
 # s390x's disassembler prints GNU mnemonics (MAEBR, MADBR, ...), hence
-# the longer pattern. rng and train are covered; the kernel packages
-# (tensor, lstm, model, compress) join once their products carry the
-# same explicit rounding.
-FMA_PKGS = rng train
+# the longer pattern. rng, train and tensor are covered; the other
+# kernel packages (lstm, model, compress) join once their products
+# carry the same explicit rounding. tensor's amd64 assembly is not in
+# the cross-compiled archives, so its source is searched for the FMA3
+# mnemonics instead: its kernels must round each product alone.
+FMA_PKGS = rng train tensor
 FMA_ARCHS = arm64 ppc64le s390x
+FMA_ASM = internal/tensor/*_amd64.s
 fma:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; bad=0; \
+	if grep -nE '\<VF(N?MADD|N?MSUB|NM)[0-9A-Z]*' $(FMA_ASM); then \
+		echo "fma: fused multiply-add in $(FMA_ASM)"; bad=1; \
+	fi; \
 	for arch in $(FMA_ARCHS); do \
 		for pkg in $(FMA_PKGS); do \
 			GOARCH=$$arch $(GO) build -o "$$tmp/$$pkg.a" ./internal/$$pkg; \
@@ -163,7 +169,7 @@ fma:
 		done; \
 	done; \
 	if [ $$bad != 0 ]; then exit 1; fi; \
-	echo "fma: no fused multiply-add in $(FMA_PKGS) on $(FMA_ARCHS)"
+	echo "fma: no fused multiply-add in $(FMA_PKGS) on $(FMA_ARCHS) or in $(FMA_ASM)"
 
 # check is the pre-commit gate: vet + formatting + build + tests +
 # the fused-multiply-add check + the benchmark module's smoke run.

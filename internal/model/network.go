@@ -2,6 +2,8 @@ package model
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"etalstm/internal/lstm"
 	"etalstm/internal/rng"
@@ -76,15 +78,16 @@ func NewNetwork(cfg Config, r *rng.RNG) (*Network, error) {
 // Alloc builds a network of cfg's geometry with every weight zero —
 // the storage NewNetwork initializes and a checkpoint decoder fills.
 func Alloc(cfg Config) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.checkAlloc(); err != nil {
 		return nil, err
 	}
 	return alloc(cfg), nil
 }
 
-// alloc is Alloc for a validated cfg.
+// alloc is Alloc for a cfg that checkAlloc accepts.
 func alloc(cfg Config) *Network {
-	n := &Network{Cfg: cfg, params: make([]float32, cfg.paramLen())}
+	count, _ := cfg.ParamCount()
+	n := &Network{Cfg: cfg, params: make([]float32, count)}
 	n.Layer, n.Proj, n.ProjB = carve(cfg, n.params, lstm.NewParamsOn)
 	return n
 }
@@ -93,13 +96,44 @@ func alloc(cfg Config) *Network {
 // payload order: per layer, per gate W, U, B; then Proj and ProjB.
 func (n *Network) Params() []float32 { return n.params }
 
-// paramLen returns how many weights a network of c's geometry has.
-func (c Config) paramLen() int {
-	n := c.Hidden*c.OutSize + c.OutSize
-	for l := 0; l < c.Layers; l++ {
-		n += lstm.LayerLen(c.layerInput(l), c.Hidden)
+// ParamCount returns how many weights a network of c's geometry has:
+// per layer 4 gates × (in·H + H·H + H), in being InputSize for layer 0
+// and H above it, then H·Out + Out for the projection. ok is false when
+// the count does not fit in an int, which a checkpoint header can claim;
+// Alloc and NewGradientsFor reject such a geometry, and persist checks a
+// header's payload length against the count before allocating.
+func (c Config) ParamCount() (n int, ok bool) {
+	ok = true
+	mul := func(a, b uint64) uint64 {
+		hi, lo := bits.Mul64(a, b)
+		ok = ok && hi == 0
+		return lo
 	}
-	return n
+	add := func(a, b uint64) uint64 {
+		sum, carry := bits.Add64(a, b, 0)
+		ok = ok && carry == 0
+		return sum
+	}
+	in, h := uint64(c.InputSize), uint64(c.Hidden)
+	layers, out := uint64(c.Layers), uint64(c.OutSize)
+	gates := uint64(lstm.NumGates)
+	first := mul(mul(gates, h), add(add(in, h), 1))
+	upper := mul(mul(layers-1, mul(gates, h)), add(mul(2, h), 1))
+	proj := mul(out, add(h, 1))
+	count := add(add(first, upper), proj)
+	return int(count), ok && count <= math.MaxInt
+}
+
+// checkAlloc reports why a network or gradient set of c's geometry
+// cannot be allocated: c is invalid, or its weights overflow an int.
+func (c Config) checkAlloc() error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if _, ok := c.ParamCount(); !ok {
+		return fmt.Errorf("model: %+v has more weights than an int can count", c)
+	}
+	return nil
 }
 
 // layerInput returns layer l's input width: the external inputs for
@@ -112,7 +146,7 @@ func (c Config) layerInput(l int) int {
 }
 
 // carve lays cfg's layers (made by on), projection and projection bias
-// out over vec, which holds cfg.paramLen() values, in payload order.
+// out over vec, which holds cfg.ParamCount() values, in payload order.
 // Networks carve their weights with it and Gradients their gradients,
 // so the two share one layout.
 func carve[L any](cfg Config, vec []float32, on func(buf []float32, input, hidden int) L) ([]L, *tensor.Matrix, []float32) {
@@ -186,15 +220,17 @@ func (n *Network) NewGradients() *Gradients { return newGradients(n.Cfg) }
 // building a network — the decode template the distributed gradient
 // transports use (a coordinator merges gradients it never trains with).
 func NewGradientsFor(cfg Config) (*Gradients, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.checkAlloc(); err != nil {
 		return nil, err
 	}
 	return newGradients(cfg), nil
 }
 
-// newGradients allocates zeroed gradients for a validated cfg.
+// newGradients allocates zeroed gradients for a cfg that checkAlloc
+// accepts.
 func newGradients(cfg Config) *Gradients {
-	g := &Gradients{cfg: cfg, vec: make([]float32, cfg.paramLen())}
+	count, _ := cfg.ParamCount()
+	g := &Gradients{cfg: cfg, vec: make([]float32, count)}
 	g.Layer, g.Proj, g.ProjB = carve(cfg, g.vec, lstm.NewGradsOn)
 	return g
 }

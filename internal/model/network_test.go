@@ -53,6 +53,51 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestParamCount: the count sizes the parameter vector exactly, summing
+// each layer's lstm.LayerLen and the projection, and reports a geometry
+// whose weights overflow an int, which Alloc and NewGradientsFor then
+// reject instead of allocating a wrapped-around length.
+func TestParamCount(t *testing.T) {
+	for _, cfg := range []Config{
+		{InputSize: 1, Hidden: 1, Layers: 1, SeqLen: 1, Batch: 1, OutSize: 1},
+		testConfig(SingleLoss),
+		{InputSize: 9, Hidden: 3, Layers: 4, SeqLen: 2, Batch: 1, OutSize: 2},
+	} {
+		n, ok := cfg.ParamCount()
+		want := cfg.Hidden*cfg.OutSize + cfg.OutSize
+		for l := 0; l < cfg.Layers; l++ {
+			want += lstm.LayerLen(cfg.layerInput(l), cfg.Hidden)
+		}
+		if !ok || n != want {
+			t.Fatalf("%+v: ParamCount %d (ok %v), want %d", cfg, n, ok, want)
+		}
+		net, err := Alloc(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(net.Params()) != n {
+			t.Fatalf("%+v: %d params allocated, ParamCount %d", cfg, len(net.Params()), n)
+		}
+	}
+	for _, cfg := range []Config{
+		{InputSize: 1, Hidden: 1 << 31, Layers: 1, SeqLen: 1, Batch: 1, OutSize: 1},
+		{InputSize: 1, Hidden: 1 << 40, Layers: 1, SeqLen: 1, Batch: 1, OutSize: 1},
+		{InputSize: math.MaxInt, Hidden: 1, Layers: 1, SeqLen: 1, Batch: 1, OutSize: 1},
+		{InputSize: 1, Hidden: 1, Layers: math.MaxInt, SeqLen: 1, Batch: 1, OutSize: 1},
+		{InputSize: 1, Hidden: 1, Layers: 1, SeqLen: 1, Batch: 1, OutSize: math.MaxInt},
+	} {
+		if n, ok := cfg.ParamCount(); ok {
+			t.Fatalf("%+v: ParamCount %d reports no overflow", cfg, n)
+		}
+		if _, err := Alloc(cfg); err == nil {
+			t.Fatalf("%+v: Alloc accepted an overflowing geometry", cfg)
+		}
+		if _, err := NewGradientsFor(cfg); err == nil {
+			t.Fatalf("%+v: NewGradientsFor accepted an overflowing geometry", cfg)
+		}
+	}
+}
+
 // TestAllocThenInitIsNewNetwork: Alloc is NewNetwork's storage step —
 // zero weights in the right shapes — and an invalid config fails there.
 func TestAllocThenInitIsNewNetwork(t *testing.T) {

@@ -30,11 +30,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
 	"os"
 	"strings"
 
-	"etalstm/internal/lstm"
 	"etalstm/internal/model"
 )
 
@@ -180,13 +178,13 @@ func parsePayload(body []byte) (*model.Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: invalid checkpoint config: %w", err)
 	}
-	want, ok := payloadLen(cfg)
+	count, ok := cfg.ParamCount()
 	switch {
-	case !ok || want > uint64(len(body)):
+	case !ok || count > (len(body)-headerBytes)/4:
 		return nil, fmt.Errorf("persist: reading weights: config %+v implies more than the %d-byte payload",
 			cfg, len(body))
-	case want < uint64(len(body)):
-		return nil, fmt.Errorf("persist: %d trailing bytes after weights", uint64(len(body))-want)
+	case headerBytes+4*count < len(body):
+		return nil, fmt.Errorf("persist: %d trailing bytes after weights", len(body)-headerBytes-4*count)
 	}
 	net, err := model.Alloc(cfg)
 	if err != nil {
@@ -197,33 +195,6 @@ func parsePayload(body []byte) (*model.Network, error) {
 		p[i] = math.Float32frombits(binary.LittleEndian.Uint32(ws[4*i:]))
 	}
 	return net, nil
-}
-
-// payloadLen returns the payload length in bytes a validated cfg
-// implies — header plus 4 bytes per weight — with ok false when the
-// count overflows. Per layer: 4 gates × (in·H + H·H + H), in being
-// InputSize for layer 0 and H above it; then H·Out + Out for the
-// projection.
-func payloadLen(cfg model.Config) (n uint64, ok bool) {
-	ok = true
-	mul := func(a, b uint64) uint64 {
-		hi, lo := bits.Mul64(a, b)
-		ok = ok && hi == 0
-		return lo
-	}
-	add := func(a, b uint64) uint64 {
-		sum, carry := bits.Add64(a, b, 0)
-		ok = ok && carry == 0
-		return sum
-	}
-	in, h := uint64(cfg.InputSize), uint64(cfg.Hidden)
-	layers, out := uint64(cfg.Layers), uint64(cfg.OutSize)
-	gates := uint64(lstm.NumGates)
-	first := mul(mul(gates, h), add(add(in, h), 1))
-	upper := mul(mul(layers-1, mul(gates, h)), add(mul(2, h), 1))
-	proj := mul(out, add(h, 1))
-	floats := add(add(first, upper), proj)
-	return add(headerBytes, mul(4, floats)), ok
 }
 
 // Load reads a network from r, verifying the trailing checksum (and,

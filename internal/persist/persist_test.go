@@ -372,8 +372,9 @@ func TestLoadRejectsOversizedConfig(t *testing.T) {
 	}
 }
 
-// TestPayloadLenMatchesEncoder pins the closed-form length check to the
-// bytes the encoder actually writes, across layer counts and widths.
+// TestPayloadLenMatchesEncoder pins the length check, header plus four
+// bytes per model.Config.ParamCount weight, to the bytes the encoder
+// actually writes, across layer counts and widths.
 func TestPayloadLenMatchesEncoder(t *testing.T) {
 	for _, cfg := range []model.Config{
 		{InputSize: 1, Hidden: 1, Layers: 1, SeqLen: 1, Batch: 1, OutSize: 1},
@@ -388,8 +389,9 @@ func TestPayloadLenMatchesEncoder(t *testing.T) {
 		if err := encode(&buf, net); err != nil {
 			t.Fatal(err)
 		}
-		if n, ok := payloadLen(cfg); !ok || n != uint64(buf.Len()) {
-			t.Fatalf("%+v: payloadLen %d (ok %v), encoder wrote %d", cfg, n, ok, buf.Len())
+		if n, ok := cfg.ParamCount(); !ok || headerBytes+4*n != buf.Len() {
+			t.Fatalf("%+v: %d weights (ok %v) imply %d bytes, encoder wrote %d",
+				cfg, n, ok, headerBytes+4*n, buf.Len())
 		}
 	}
 }

@@ -207,6 +207,11 @@ func TestDrainNoDrops(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	admitted, completed := 0, 0
+	// firstDone closes when the first submit completes; allDone when
+	// every submitter has returned, so a run where none completes
+	// reaches the assertions instead of hanging.
+	firstDone, allDone := make(chan struct{}), make(chan struct{})
+	var first sync.Once
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(seq model.InferSeq) {
@@ -218,6 +223,7 @@ func TestDrainNoDrops(t *testing.T) {
 			case err == nil:
 				admitted++
 				completed++
+				first.Do(func() { close(firstDone) })
 			case errors.Is(err, ErrClosed) || errors.Is(err, ErrQueueFull):
 				// Never admitted — not a drop.
 			default:
@@ -225,8 +231,16 @@ func TestDrainNoDrops(t *testing.T) {
 			}
 		}(testSeq(r.Split(), 1+i%4, net.Cfg.InputSize))
 	}
-	// Start draining while submissions are still arriving.
-	time.Sleep(time.Millisecond)
+	go func() {
+		wg.Wait()
+		close(allDone)
+	}()
+	// Start draining once a request has completed, while the other
+	// submissions are still arriving.
+	select {
+	case <-firstDone:
+	case <-allDone:
+	}
 	if err := b.drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}

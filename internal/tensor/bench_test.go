@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
 	"etalstm/internal/rng"
@@ -22,6 +23,30 @@ func BenchmarkMatMul256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(dst, x, y)
+	}
+}
+
+// BenchmarkMatMul times one serial product at the geometries the
+// program runs: a served request's first layer (1×16·16×64) and upper
+// layers (1×64·64×64), and a training batch's gate product
+// (16×64·64×64). a has no zeros, so every k block takes axpy4.
+func BenchmarkMatMul(b *testing.B) {
+	for _, g := range []struct{ m, k, n int }{{1, 16, 64}, {1, 64, 64}, {16, 64, 64}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", g.m, g.k, g.n), func(b *testing.B) {
+			prev := SetWorkers(1)
+			defer SetWorkers(prev)
+			r := rng.New(1)
+			x, y := New(g.m, g.k), New(g.k, g.n)
+			x.RandInit(r, 1)
+			y.RandInit(r, 1)
+			dst := New(g.m, g.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMul(dst, x, y)
+			}
+			flops := 2 * float64(g.m*g.k*g.n) * float64(b.N)
+			b.ReportMetric(flops/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+		})
 	}
 }
 
@@ -64,14 +89,5 @@ func BenchmarkSigmoid(b *testing.B) {
 		for j, v := range x.Data {
 			dst.Data[j] = Sigmoid32(v)
 		}
-	}
-}
-
-func BenchmarkMulAdd(b *testing.B) {
-	x, y := benchPair(512)
-	dst := New(512, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAdd(dst, x, y)
 	}
 }

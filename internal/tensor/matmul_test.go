@@ -80,8 +80,8 @@ func randOperands(r *rng.RNG, m, k, n int) (a, b *Matrix) {
 
 // TestMatMulBlockedBitwise holds the k-blocked MatMul to the plain ikj
 // loop bit for bit: every shape with 1–17 rows and K on both sides of
-// the block size and with every K mod 4 tail, a zero at each position
-// of a block,
+// the block size and with every K mod 4 tail, row widths n that end in
+// each of the kernel's loops, a zero at each position of a block,
 // whole-zero rows (the t = 0 context of an LSTM cell), and ±0, ±Inf and
 // NaN in either operand, serially and with the rows split across two
 // workers.
@@ -97,9 +97,13 @@ func TestMatMulBlockedBitwise(t *testing.T) {
 			r := rng.New(7)
 			for _, k := range []int{1, 2, 3, 4, 5, 6, 16, 17, 64} {
 				for m := 1; m <= 17; m++ {
-					// n = 64 puts the larger products past the
-					// parallel threshold, so workers=2 splits rows.
-					for _, n := range []int{5, 64} {
+					// Every n up to 9 and each side of 16, 32 and
+					// 64 split a row between axpy4's eight-wide
+					// loop, its four-wide step and its scalar tail
+					// in every way; n = 64 and 65 put the larger
+					// products past the parallel threshold, so
+					// workers=2 splits rows.
+					for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65} {
 						a, b := randOperands(r, m, k, n)
 						checkBitwise(t, a, b)
 
@@ -168,6 +172,14 @@ func FuzzMatMulBitwise(f *testing.F) {
 	f.Add(uint8(3), uint8(5), uint8(2), false, seed)
 	f.Add(uint8(17), uint8(17), uint8(7), true, seed)
 	f.Add(uint8(1), uint8(4), uint8(1), false, []byte{0, 0, 0, 0})
+	// Row widths of 8 and more reach axpy4's vector loops, and
+	// subnormal words (±1e-40) reach them with products that underflow.
+	sub := binary.LittleEndian.AppendUint32(nil, math.Float32bits(1e-40))
+	sub = binary.LittleEndian.AppendUint32(sub, math.Float32bits(-1e-40))
+	sub = binary.LittleEndian.AppendUint32(sub, math.Float32bits(0.75))
+	f.Add(uint8(2), uint8(8), uint8(8), false, seed)
+	f.Add(uint8(5), uint8(12), uint8(37), false, sub)
+	f.Add(uint8(16), uint8(64), uint8(64), true, seed)
 	f.Fuzz(func(t *testing.T, m, k, n uint8, parallel bool, data []byte) {
 		if len(data) < 4 {
 			return

@@ -139,16 +139,16 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 // k runs in blocks of four. For each block the b rows are located once
 // and every row of the span takes its turn, so a batch shares that
 // set-up. Where a row's four a values in the block are all non-zero,
-// one pass computes d[j] = d[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] +
-// a3·b3[j]. Go evaluates that sum left to right, and on amd64
-// (GOAMD64=v1) every float32 operation rounds and none fuses, so each
-// dst element receives the same rounded additions in the same k order
-// as the plain ikj loop — the result is bitwise equal, with one load
-// and store of dst per block instead of per k. A block with any zero,
-// and the K mod 4 tail, take the per-k loop that skips zero a values,
-// as the plain loop does: always adding 0·b would turn a 0·Inf or 0·NaN
-// the plain loop never computes into a NaN in dst. (A dst element that
-// is NaN stays NaN either way; Go leaves NaN payloads unspecified.)
+// one axpy4 pass computes d[j] = d[j] + a0·b0[j] + a1·b1[j] + a2·b2[j]
+// + a3·b3[j], left to right with every product and sum rounded alone,
+// so each dst element receives the same rounded additions in the same
+// k order as the plain ikj loop — the result is bitwise equal, with one
+// load and store of dst per block instead of per k. A block with any
+// zero, and the K mod 4 tail, take the per-k loop that skips zero a
+// values, as the plain loop does: always adding 0·b would turn a 0·Inf
+// or 0·NaN the plain loop never computes into a NaN in dst. (A dst
+// element that is NaN stays NaN either way; Go leaves NaN payloads
+// unspecified.)
 func matmulSpan(dst, a, b *Matrix, lo, hi int) {
 	n := b.Cols
 	for k, w := 0, 0; k < a.Cols; k += w {
@@ -161,11 +161,7 @@ func matmulSpan(dst, a, b *Matrix, lo, hi int) {
 				axpyRows(d, ak, b, k)
 				continue
 			}
-			a0, a1, a2, a3 := ak[0], ak[1], ak[2], ak[3]
-			b0, b1, b2, b3 := bk[:len(d)], bk[n:][:len(d)], bk[2*n:][:len(d)], bk[3*n:][:len(d)]
-			for j := range d {
-				d[j] = d[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+			axpy4(d, bk, ak[0], ak[1], ak[2], ak[3])
 		}
 	}
 }
@@ -174,12 +170,8 @@ func matmulSpan(dst, a, b *Matrix, lo, hi int) {
 // zero av: the plain ikj inner loop over rows k0 … k0+len(a)-1 of b.
 func axpyRows(d, a []float32, b *Matrix, k0 int) {
 	for kk, av := range a {
-		if av == 0 {
-			continue
-		}
-		brow := b.Row(k0 + kk)[:len(d)]
-		for j, bv := range brow {
-			d[j] += av * bv
+		if av != 0 {
+			axpy1(d, b.Row(k0+kk), av)
 		}
 	}
 }
@@ -230,7 +222,7 @@ func matmulTransBSpan(dst, a, b *Matrix, lo, hi int) {
 			brow := b.Row(j)
 			var sum float32
 			for k, av := range arow {
-				sum += av * brow[k]
+				sum += float32(av * brow[k])
 			}
 			drow[j] = sum
 		}
@@ -270,7 +262,7 @@ func addMatMulTransASpan(dst, a, b *Matrix, lo, hi int) {
 			}
 			drow := dst.Row(i)
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -336,16 +328,6 @@ func Mul(dst, a, b *Matrix) *Matrix {
 		dst.Data[i] = av * b.Data[i]
 	}
 	return dst
-}
-
-// MulAdd computes dst += a ⊙ b (fused multiply-accumulate form used
-// throughout BP-EW).
-func MulAdd(dst, a, b *Matrix) {
-	dst.mustSameShape(a, "MulAdd")
-	a.mustSameShape(b, "MulAdd")
-	for i, av := range a.Data {
-		dst.Data[i] += av * b.Data[i]
-	}
 }
 
 // Scale computes dst = a * s element-wise.
@@ -447,15 +429,6 @@ func (m *Matrix) FracBelow(threshold float32) float64 {
 		}
 	}
 	return float64(n) / float64(len(m.Data))
-}
-
-// Norm2 returns the Frobenius norm of m.
-func (m *Matrix) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // Equal reports whether m and o have identical shape and elements

@@ -156,19 +156,6 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
-func TestMulAdd(t *testing.T) {
-	dst := NewFromData(1, 3, []float32{1, 1, 1})
-	a := NewFromData(1, 3, []float32{2, 3, 4})
-	b := NewFromData(1, 3, []float32{5, 6, 7})
-	MulAdd(dst, a, b)
-	want := []float32{11, 19, 29}
-	for i, v := range want {
-		if dst.Data[i] != v {
-			t.Fatalf("MulAdd: got %v want %v", dst.Data, want)
-		}
-	}
-}
-
 func TestAddInPlace(t *testing.T) {
 	dst := NewFromData(1, 2, []float32{1, 2})
 	a := NewFromData(1, 2, []float32{10, 20})
@@ -227,13 +214,6 @@ func TestAbsSumMaxAbsFracBelow(t *testing.T) {
 	}
 	if got := m.FracBelow(0.1); got != 0.5 {
 		t.Fatalf("FracBelow: %v", got)
-	}
-}
-
-func TestNorm2(t *testing.T) {
-	m := NewFromData(1, 2, []float32{3, 4})
-	if math.Abs(m.Norm2()-5) > 1e-6 {
-		t.Fatalf("Norm2: %v", m.Norm2())
 	}
 }
 
