@@ -146,12 +146,13 @@ fmt:
 # so the check cross-compiles each package for the three targets that
 # do and disassembles its archive, which holds only non-test code.
 # s390x's disassembler prints GNU mnemonics (MAEBR, MADBR, ...), hence
-# the longer pattern. rng, train and tensor are covered; the other
-# kernel packages (lstm, model, compress) join once their products
-# carry the same explicit rounding. tensor's amd64 assembly is not in
+# the longer pattern. Every kernel package is covered: rng, train,
+# tensor, lstm, model and compress round each product that feeds an add
+# explicitly (skip, dist and reorder fuse nothing without it).
+# tensor's amd64 assembly is not in
 # the cross-compiled archives, so its source is searched for the FMA3
 # mnemonics instead: its kernels must round each product alone.
-FMA_PKGS = rng train tensor
+FMA_PKGS = rng train tensor lstm model compress
 FMA_ARCHS = arm64 ppc64le s390x
 FMA_ASM = internal/tensor/*_amd64.s
 fma:

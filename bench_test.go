@@ -165,7 +165,7 @@ func BenchmarkTable2Accuracy(b *testing.B) {
 func benchCell(b *testing.B, hidden, batch int) (*lstm.Params, *tensor.Matrix, *tensor.Matrix, *tensor.Matrix) {
 	b.Helper()
 	r := rng.New(1)
-	p := lstm.NewParams(hidden, hidden)
+	p := lstm.NewParamsOn(make([]float32, lstm.LayerLen(hidden, hidden)), hidden, hidden)
 	p.Init(r)
 	x := tensor.New(batch, hidden)
 	h := tensor.New(batch, hidden)
@@ -313,7 +313,11 @@ func BenchmarkAblationSparsityThreshold(b *testing.B) {
 							continue
 						}
 						for _, m := range res.P1[l][t].Matrices() {
-							below += m.FracBelow(float32(th)) * float64(m.Size())
+							for _, v := range m.Data {
+								if v < float32(th) && -v < float32(th) {
+									below++
+								}
+							}
 							total += float64(m.Size())
 						}
 					}
@@ -390,7 +394,7 @@ func BenchmarkAblationRecompute(b *testing.B) {
 		b.ReportAllocs()
 		grads := lstm.NewGrads(p)
 		for i := 0; i < b.N; i++ {
-			cache := lstm.RecomputeForward(nil, p, x, h, s)
+			_, _, cache := lstm.Forward(nil, p, x, h, s)
 			lstm.Backward(nil, p, grads, cache, lstm.BPInput{DY: dy})
 		}
 	})

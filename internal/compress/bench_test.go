@@ -20,18 +20,9 @@ func benchMatrix(sparsity float64) *tensor.Matrix {
 	return m
 }
 
-func BenchmarkEncodeSparse65(b *testing.B) {
-	m := benchMatrix(0.65)
-	b.SetBytes(m.Bytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Encode(m, 0.1)
-	}
-}
-
 func BenchmarkDecodeSparse65(b *testing.B) {
 	m := benchMatrix(0.65)
-	s := Encode(m, 0.1)
+	s := encode(m, 0.1)
 	dst := tensor.New(m.Rows, m.Cols)
 	b.SetBytes(m.Bytes())
 	b.ResetTimer()

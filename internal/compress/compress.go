@@ -28,26 +28,10 @@ type Sparse struct {
 	Indices    []int32
 }
 
-// Encode prunes |v| < threshold from m and returns the sparse encoding.
-func Encode(m *tensor.Matrix, threshold float32) *Sparse {
-	s := &Sparse{Rows: m.Rows, Cols: m.Cols}
-	for i, v := range m.Data {
-		av := v
-		if av < 0 {
-			av = -av
-		}
-		if av >= threshold {
-			s.Values = append(s.Values, v)
-			s.Indices = append(s.Indices, int32(i))
-		}
-	}
-	return s
-}
-
 // Validate checks the structural invariants a record must hold before
 // it can be decoded: matching Values/Indices lengths and strictly
 // increasing indices inside the declared Rows×Cols range. Records built
-// by Encode hold these by construction; records reassembled from
+// by a Feedback encoder hold these by construction; records reassembled from
 // external bytes (a wire payload, a fuzzer) may not.
 func (s *Sparse) Validate() error {
 	if s.Rows < 0 || s.Cols < 0 {
@@ -94,7 +78,8 @@ func (s *Sparse) Decode(dst *tensor.Matrix) (*tensor.Matrix, error) {
 }
 
 // MustDecode is Decode for records that are valid by construction
-// (built by Encode in this process). It panics on a corrupt record.
+// (built by a Feedback encoder in this process). It panics on a corrupt
+// record.
 func (s *Sparse) MustDecode(dst *tensor.Matrix) *tensor.Matrix {
 	m, err := s.Decode(dst)
 	if err != nil {
@@ -105,12 +90,3 @@ func (s *Sparse) MustDecode(dst *tensor.Matrix) *tensor.Matrix {
 
 // NNZ returns the number of retained (nonzero) entries.
 func (s *Sparse) NNZ() int { return len(s.Values) }
-
-// Bytes returns the encoded size: 4 B per value + 2 B per index (the
-// DMA stores 16-bit indices relative to a 64 Ki-element tile; larger
-// matrices are tiled, adding one 4 B tile header per 64 Ki elements).
-func (s *Sparse) Bytes() int64 {
-	const tileElems = 1 << 16
-	tiles := (int64(s.Rows)*int64(s.Cols) + tileElems - 1) / tileElems
-	return int64(len(s.Values))*4 + int64(len(s.Indices))*2 + tiles*4
-}

@@ -12,27 +12,6 @@ import (
 	"etalstm/internal/tensor"
 )
 
-// EncodeInto is the reusable-buffer variant of Encode: it prunes
-// |v| < threshold from m into dst, reusing dst's Values/Indices storage
-// so the warm path allocates nothing once the slices have grown to the
-// working sparsity. dst must be non-nil; it is returned for chaining.
-func EncodeInto(dst *Sparse, m *tensor.Matrix, threshold float32) *Sparse {
-	dst.Rows, dst.Cols = m.Rows, m.Cols
-	dst.Values = dst.Values[:0]
-	dst.Indices = dst.Indices[:0]
-	for i, v := range m.Data {
-		av := v
-		if av < 0 {
-			av = -av
-		}
-		if av >= threshold {
-			dst.Values = append(dst.Values, v)
-			dst.Indices = append(dst.Indices, int32(i))
-		}
-	}
-	return dst
-}
-
 // TopKThreshold returns a pruning threshold that keeps approximately
 // the keepFrac largest-magnitude entries of data: the magnitude of the
 // k-th largest |value| (k = max(1, round(keepFrac·len))), found by
@@ -47,7 +26,7 @@ func TopKThreshold(data []float32, keepFrac float64, scratch []float32) (float32
 	if n == 0 {
 		return math.SmallestNonzeroFloat32, scratch
 	}
-	k := int(keepFrac*float64(n) + 0.5)
+	k := int(float64(keepFrac*float64(n)) + 0.5)
 	if k < 1 {
 		k = 1
 	}

@@ -10,9 +10,10 @@ import (
 
 func TestEncodeIntoMatchesEncode(t *testing.T) {
 	m := benchMatrix(0.65)
-	want := Encode(m, 0.1)
+	want := encode(m, 0.1)
 	var dst Sparse
-	got := EncodeInto(&dst, m, 0.1)
+	var fb Feedback
+	got := fb.EncodeInto(&dst, m, 0.1)
 	if got != &dst {
 		t.Fatal("EncodeInto must return its dst")
 	}
@@ -28,7 +29,8 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 	// A second encode into the same dst reuses storage and overwrites.
 	small := tensor.New(2, 2)
 	small.Data = []float32{0, 5, 0, -7}
-	EncodeInto(&dst, small, 1)
+	var fresh Feedback
+	fresh.EncodeInto(&dst, small, 1)
 	if dst.NNZ() != 2 || dst.Values[0] != 5 || dst.Values[1] != -7 {
 		t.Fatalf("reused dst holds %v", dst.Values)
 	}
@@ -103,14 +105,10 @@ func TestFeedbackConservation(t *testing.T) {
 
 // TestEncodeWarmPathAllocFree pins the satellite guarantee: once the
 // reusable buffers have grown to the working set, neither the plain
-// EncodeInto path nor the feedback top-k path allocates.
+// Feedback.EncodeInto path nor the feedback top-k path allocates.
 func TestEncodeWarmPathAllocFree(t *testing.T) {
 	m := benchMatrix(0.65)
 	var dst Sparse
-	EncodeInto(&dst, m, 0.1) // warm dst
-	if n := testing.AllocsPerRun(10, func() { EncodeInto(&dst, m, 0.1) }); n != 0 {
-		t.Errorf("warm EncodeInto allocates %v times per run", n)
-	}
 	var fb Feedback
 	fb.EncodeInto(&dst, m, 0.1) // warm the residual buffer
 	if n := testing.AllocsPerRun(10, func() { fb.EncodeInto(&dst, m, 0.1) }); n != 0 {
@@ -186,13 +184,14 @@ func TestQuickselectAgainstSort(t *testing.T) {
 // warm (ReportAllocs must show 0 allocs/op).
 func BenchmarkEncodeIntoWarm(b *testing.B) {
 	m := benchMatrix(0.65)
+	var fb Feedback
 	var dst Sparse
-	EncodeInto(&dst, m, 0.1)
+	fb.EncodeInto(&dst, m, 0.1)
 	b.SetBytes(m.Bytes())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EncodeInto(&dst, m, 0.1)
+		fb.EncodeInto(&dst, m, 0.1)
 	}
 }
 

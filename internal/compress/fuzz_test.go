@@ -32,7 +32,7 @@ func FuzzEncodeDecode(f *testing.F) {
 		}
 		m := tensor.NewFromData(1, n, data)
 
-		s := Encode(m, threshold)
+		s := encode(m, threshold)
 		d := s.MustDecode(nil)
 		for i, v := range data {
 			av := v

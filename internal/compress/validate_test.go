@@ -42,7 +42,7 @@ func TestDecodeRejectsCountMismatch(t *testing.T) {
 
 func TestValidateAcceptsEncoded(t *testing.T) {
 	m := tensor.NewFromData(2, 3, []float32{0.5, 0.01, -0.3, 0, 0.09, -0.8})
-	if err := Encode(m, 0.1).Validate(); err != nil {
+	if err := encode(m, 0.1).Validate(); err != nil {
 		t.Fatalf("encoded record must validate: %v", err)
 	}
 }

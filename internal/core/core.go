@@ -11,7 +11,7 @@
 //     experiment harnesses report.
 //
 // The hardware side (internal/arch) consumes the same optimization
-// parameters; FootprintParams/FootprintMode bridge the two by exposing
+// parameters; OperatingPoint/FootprintMode bridge the two by exposing
 // this training run's measured operating point to the cost models.
 package core
 
@@ -514,19 +514,6 @@ func (tr *Trainer) OperatingPoint() (p1Sparsity, skipFrac float64) {
 		skipFrac = lastSkip
 	}
 	return p1Sparsity, skipFrac
-}
-
-// FootprintParams converts the trainer's measured behaviour into the
-// memplan/trace parameters, so the analytic models report this exact
-// training run's operating point.
-func (tr *Trainer) FootprintParams() memplan.Params {
-	p := memplan.Params{}
-	sparsity, skipFrac := tr.OperatingPoint()
-	if tr.Cfg.EnableMS1 {
-		p.P1KeepRatio = memplan.FromSparsity(sparsity)
-	}
-	p.SkipFrac = skipFrac
-	return p
 }
 
 // FootprintMode returns the memplan mode matching the configuration.

@@ -156,28 +156,6 @@ func TestConvergenceSpeedPreserved(t *testing.T) {
 	}
 }
 
-func TestFootprintParamsReflectRun(t *testing.T) {
-	bench, prov := scaledBench(t, "BABI")
-	tr := newTrainer(t, bench, Config{EnableMS1: true, EnableMS2: true}, 11)
-	if _, err := tr.Run(context.Background(), prov, 6); err != nil {
-		t.Fatal(err)
-	}
-	p := tr.FootprintParams()
-	if p.P1KeepRatio <= 0 || p.P1KeepRatio >= 1.5 {
-		t.Fatalf("P1KeepRatio: %v", p.P1KeepRatio)
-	}
-	if tr.FootprintMode() != memplan.Combined {
-		t.Fatal("mode")
-	}
-	// The measured operating point must yield a real footprint saving
-	// on the full-size geometry.
-	full, _ := workload.ByName("BABI")
-	red := memplan.Reduction(full.Cfg, memplan.Combined, p)
-	if red <= 0.2 {
-		t.Fatalf("combined footprint reduction %.3f too small", red)
-	}
-}
-
 func TestFootprintModeMapping(t *testing.T) {
 	bench, _ := scaledBench(t, "PTB")
 	cases := map[memplan.Mode]Config{

@@ -104,64 +104,3 @@ type sliceProvider struct {
 
 func (p *sliceProvider) NumBatches() int         { return len(p.batches) }
 func (p *sliceProvider) Batch(i int) train.Batch { return p.batches[i] }
-
-// Generate samples n bytes from net greedily, seeded with prime (which
-// must be non-empty): the qualitative check that a byte-level model
-// learned something.
-func (c *Corpus) Generate(net *model.Network, prime []byte, n int) ([]byte, error) {
-	if len(prime) == 0 {
-		return nil, fmt.Errorf("corpus: Generate needs a non-empty prime")
-	}
-	cfg := net.Cfg
-	if cfg.Batch != 1 {
-		return nil, fmt.Errorf("corpus: Generate needs a batch-1 network, have %d", cfg.Batch)
-	}
-	out := append([]byte{}, prime...)
-	state := net.ZeroState()
-	window := make([]byte, 0, cfg.SeqLen)
-	feed := func(chunk []byte) (byte, error) {
-		// Pad the chunk to the network's unroll window.
-		xs := make([]*tensor.Matrix, cfg.SeqLen)
-		for t := range xs {
-			xs[t] = tensor.New(1, cfg.InputSize)
-			tok := byte(0)
-			if t < len(chunk) {
-				tok = chunk[t]
-			}
-			copy(xs[t].Row(0), c.emb.Row(int(tok)))
-		}
-		res, next, err := net.ForwardCheckpointed(xs, nil, model.InferencePolicy(), state, nil)
-		if err != nil {
-			return 0, err
-		}
-		state = next
-		last := len(chunk) - 1
-		if last < 0 {
-			last = 0
-		}
-		logits := net.Logits(nil, res.H[cfg.Layers-1][last])
-		return byte(model.Argmax(logits)[0]), nil
-	}
-	for _, b := range prime {
-		window = append(window, b)
-		if len(window) == cfg.SeqLen {
-			if _, err := feed(window); err != nil {
-				return nil, err
-			}
-			window = window[:0]
-		}
-	}
-	for i := 0; i < n; i++ {
-		chunk := window
-		if len(chunk) == 0 {
-			chunk = out[len(out)-1:]
-		}
-		nb, err := feed(chunk)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, nb)
-		window = window[:0]
-	}
-	return out, nil
-}

@@ -107,47 +107,3 @@ func TestByteLMLearns(t *testing.T) {
 		t.Fatalf("byte LM failed to learn: %v -> %v", stats[0].MeanLoss, final)
 	}
 }
-
-func TestGenerate(t *testing.T) {
-	c := load(t)
-	cfg := c.Config(32, 2, 8, 1)
-	prov, err := c.Provider(cfg, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := model.NewNetwork(cfg, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := core.New(net, &train.Adam{LR: 0.02}, 5, core.Config{})
-	if _, err := tr.Run(context.Background(), prov, 25); err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Generate(net, []byte("the quick"), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len("the quick")+20 {
-		t.Fatalf("generated length %d", len(out))
-	}
-	// The continuation must stay within the corpus alphabet.
-	for _, b := range out {
-		if !strings.ContainsRune(sample, rune(b)) {
-			t.Fatalf("generated byte %q outside the training alphabet", b)
-		}
-	}
-}
-
-func TestGenerateValidation(t *testing.T) {
-	c := load(t)
-	cfg := c.Config(16, 1, 4, 2) // batch 2: rejected
-	net, _ := model.NewNetwork(cfg, rng.New(5))
-	if _, err := c.Generate(net, []byte("a"), 3); err == nil {
-		t.Fatal("expected batch-1 requirement error")
-	}
-	cfg1 := c.Config(16, 1, 4, 1)
-	net1, _ := model.NewNetwork(cfg1, rng.New(5))
-	if _, err := c.Generate(net1, nil, 3); err == nil {
-		t.Fatal("expected non-empty prime error")
-	}
-}

@@ -175,11 +175,6 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) StaleSteps() int64 { return c.staleSteps }
 func (c *Coordinator) LateFolds() int64  { return c.lateFolds }
 
-// TailDropped reports contributions that arrived late for the session's
-// final step and so had no next step to fold into — the one place
-// bounded staleness can lose gradient mass, and only at termination.
-func (c *Coordinator) TailDropped() int64 { return c.tailDropped }
-
 // Steps reports the merged optimizer steps served so far.
 func (c *Coordinator) Steps() int64 { return c.steps }
 

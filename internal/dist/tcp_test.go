@@ -238,9 +238,9 @@ func TestTCPQuorumStaleness(t *testing.T) {
 	for _, ts := range totals[0] {
 		got += ts
 	}
-	if got+int(c.TailDropped()) != sent {
+	if got+int(c.tailDropped) != sent {
 		t.Fatalf("contribution mass: %d merged + %d tail-dropped vs %d sent — late gradients vanished unaccounted",
-			got, c.TailDropped(), sent)
+			got, c.tailDropped, sent)
 	}
 	// All workers saw identical per-step totals (identical broadcasts).
 	for id := 1; id < workers; id++ {
@@ -399,7 +399,7 @@ func TestTCPLateFoldIntoNextStep(t *testing.T) {
 	if c.LateFolds() == 0 {
 		t.Fatal("straggler never produced a late contribution")
 	}
-	if c.TailDropped() >= c.LateFolds() {
+	if c.tailDropped >= c.LateFolds() {
 		t.Fatalf("all %d late contributions tail-dropped — none folded into a later merge", c.LateFolds())
 	}
 	// Conservation still holds across folds and drops.
@@ -408,8 +408,8 @@ func TestTCPLateFoldIntoNextStep(t *testing.T) {
 	for _, ts := range totals[1] {
 		got += ts
 	}
-	if got+int(c.TailDropped()) != sent {
-		t.Fatalf("contribution mass: %d merged + %d tail-dropped vs %d sent", got, c.TailDropped(), sent)
+	if got+int(c.tailDropped) != sent {
+		t.Fatalf("contribution mass: %d merged + %d tail-dropped vs %d sent", got, c.tailDropped, sent)
 	}
 }
 

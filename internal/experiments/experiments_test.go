@@ -11,7 +11,7 @@ import (
 
 func run(t *testing.T, r Runner) *Report {
 	t.Helper()
-	rep, err := r(DefaultOptions())
+	rep, err := r(Options{Quick: true, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

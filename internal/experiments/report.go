@@ -93,9 +93,6 @@ type Options struct {
 	Seed uint64
 }
 
-// DefaultOptions returns the standard configuration (Quick, seed 42).
-func DefaultOptions() Options { return Options{Quick: true, Seed: 42} }
-
 // Runner regenerates one experiment.
 type Runner func(Options) (*Report, error)
 

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"etalstm/internal/model"
-	"etalstm/internal/obs"
 	"etalstm/internal/persist"
 	"etalstm/internal/rng"
 	"etalstm/internal/serve"
@@ -87,7 +86,7 @@ func TestFleetDrainMigratesSessions(t *testing.T) {
 		Replicas:      []string{gateA.URL, hsB.URL},
 		ProbeInterval: -1,
 		EjectAfter:    2,
-		Log:           obs.NewLoggerFunc(t.Logf),
+		Log:           testLog(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +188,7 @@ func TestFleetSwapZeroDrop(t *testing.T) {
 	rt, err := New(Options{
 		Replicas:      []string{hsA.URL, hsB.URL},
 		ProbeInterval: -1,
-		Log:           obs.NewLoggerFunc(t.Logf),
+		Log:           testLog(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +273,7 @@ func TestFleetSwapZeroDrop(t *testing.T) {
 func TestFleetSwapBadPathAborts(t *testing.T) {
 	net1 := realNet(t, 51)
 	sA, hsA := realReplica(t, net1, serve.Options{MaxBatch: 4, EnableAdmin: true})
-	rt, err := New(Options{Replicas: []string{hsA.URL}, ProbeInterval: -1, Log: obs.NewLoggerFunc(t.Logf)})
+	rt, err := New(Options{Replicas: []string{hsA.URL}, ProbeInterval: -1, Log: testLog(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

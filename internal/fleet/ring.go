@@ -107,19 +107,6 @@ func (r *Ring) Remove(member string) {
 // Size returns the member count.
 func (r *Ring) Size() int { return len(r.names) }
 
-// Members returns the member names, sorted.
-func (r *Ring) Members() []string {
-	ms := make([]string, 0, len(r.names))
-	for m := range r.names {
-		ms = append(ms, m)
-	}
-	sort.Strings(ms)
-	return ms
-}
-
-// Has reports membership.
-func (r *Ring) Has(member string) bool { return r.names[member] }
-
 // Lookup returns the member owning key ("" on an empty ring).
 func (r *Ring) Lookup(key string) string {
 	if len(r.points) == 0 {

@@ -56,7 +56,7 @@ type Options struct {
 	AdvisorTicks   int
 	// Log receives membership and swap events as structured records
 	// (nil = text log on stderr, preserving the old log.Printf behavior;
-	// tests pass obs.NewLoggerFunc(t.Logf)).
+	// tests log to t.Logf).
 	Log *obs.Logger
 	// Tracer, when non-nil, traces routed requests (routing choice,
 	// failover hops, shed decisions) into its flight recorder, forwards

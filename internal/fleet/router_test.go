@@ -121,7 +121,7 @@ func testRouter(t testing.TB, opts Options, replicas ...*fakeReplica) *Router {
 	}
 	opts.ProbeInterval = -1
 	if opts.Log == nil {
-		opts.Log = obs.NewLoggerFunc(t.Logf)
+		opts.Log = testLog(t)
 	}
 	rt, err := New(opts)
 	if err != nil {
@@ -421,7 +421,7 @@ func TestRouterBackgroundProber(t *testing.T) {
 	rt, err := New(Options{
 		Replicas:      []string{f.hs.URL},
 		ProbeInterval: 5 * time.Millisecond,
-		Log:           obs.NewLoggerFunc(t.Logf),
+		Log:           testLog(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -539,4 +539,14 @@ func TestAdvisor(t *testing.T) {
 			}
 		})
 	}
+}
+
+// testLog returns a logger whose records go to t.Logf.
+func testLog(t testing.TB) *obs.Logger { return obs.NewLogger(tlogWriter{t}) }
+
+type tlogWriter struct{ t testing.TB }
+
+func (w tlogWriter) Write(p []byte) (int, error) {
+	w.t.Logf("%s", strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

@@ -192,9 +192,3 @@ func stepWith(d Device, cfg model.Config, flops float64, mov traffic.Movement, i
 	res.GFLOPSperW = res.Throughput / 1e9 / res.PowerW
 	return res
 }
-
-// Congestion exposes the congestion factor for tests and experiments.
-func Congestion(cfg model.Config) float64 { return congestion(cfg) }
-
-// FootprintGB exposes the framework-level footprint estimate.
-func FootprintGB(cfg model.Config) float64 { return footprintGB(cfg) }

@@ -87,7 +87,7 @@ func TestFig3bRTX5000MemoryWall(t *testing.T) {
 		wantOOM := sc.Cfg.Layers >= 7
 		if r.OOM != wantOOM {
 			t.Errorf("%s on RTX5000: OOM=%v want %v (footprint %.1f GB)",
-				sc.Label, r.OOM, wantOOM, FootprintGB(sc.Cfg))
+				sc.Label, r.OOM, wantOOM, footprintGB(sc.Cfg))
 		}
 	}
 	// The V100's 32 GB trains all of them.

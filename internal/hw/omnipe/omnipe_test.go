@@ -1,151 +1,6 @@
 package omnipe
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-
-	"etalstm/internal/rng"
-)
-
-func TestDotProductCorrect(t *testing.T) {
-	pe := New(Default())
-	got, cycles := pe.DotProduct([]float32{1, 2, 3}, []float32{4, 5, 6})
-	if got != 32 {
-		t.Fatalf("dot: %v", got)
-	}
-	if cycles <= 3 {
-		t.Fatalf("cycles must include pipeline fill: %d", cycles)
-	}
-}
-
-func TestDotProductEmpty(t *testing.T) {
-	pe := New(Default())
-	got, cycles := pe.DotProduct(nil, nil)
-	if got != 0 || cycles != 0 {
-		t.Fatal("empty dot")
-	}
-}
-
-func TestDotProductLengthPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(Default()).DotProduct([]float32{1}, []float32{1, 2})
-}
-
-func TestSparseDotSkipsZeros(t *testing.T) {
-	pe := New(Default())
-	a := make([]float32, 1000)
-	b := make([]float32, 1000)
-	for i := range b {
-		b[i] = 1
-	}
-	a[0], a[999] = 2, 3
-	got, cycles := pe.SparseDotProduct(a, b)
-	if got != 5 {
-		t.Fatalf("sparse dot: %v", got)
-	}
-	dense := New(Default())
-	_, denseCycles := dense.DotProduct(a, b)
-	if cycles >= denseCycles/10 {
-		t.Fatalf("sparse execution must skip zero operands: %d vs %d", cycles, denseCycles)
-	}
-}
-
-func TestSparseDotAllZero(t *testing.T) {
-	pe := New(Default())
-	got, cycles := pe.SparseDotProduct(make([]float32, 8), make([]float32, 8))
-	if got != 0 || cycles != 0 {
-		t.Fatal("all-zero sparse dot must cost nothing")
-	}
-}
-
-func TestEWMul(t *testing.T) {
-	pe := New(Default())
-	dst := make([]float32, 3)
-	cycles := pe.EWMul(dst, []float32{1, 2, 3}, []float32{2, 2, 2})
-	if dst[0] != 2 || dst[2] != 6 {
-		t.Fatalf("EWMul: %v", dst)
-	}
-	if cycles != 3+4 {
-		t.Fatalf("EWMul cycles: %d", cycles)
-	}
-}
-
-func TestEWAdd(t *testing.T) {
-	pe := New(Default())
-	dst := make([]float32, 2)
-	cycles := pe.EWAdd(dst, []float32{1, 2}, []float32{10, 20})
-	if dst[0] != 11 || dst[1] != 22 {
-		t.Fatalf("EWAdd: %v", dst)
-	}
-	if cycles != 2+8 {
-		t.Fatalf("EWAdd cycles: %d", cycles)
-	}
-}
-
-func TestOuterRow(t *testing.T) {
-	pe := New(Default())
-	dst := make([]float32, 3)
-	cycles := pe.OuterRow(dst, 2, []float32{1, 2, 3})
-	if dst[0] != 2 || dst[2] != 6 {
-		t.Fatalf("OuterRow: %v", dst)
-	}
-	if cycles != 3+4 {
-		t.Fatalf("OuterRow cycles: %d", cycles)
-	}
-}
-
-func TestBusyAccounting(t *testing.T) {
-	pe := New(Default())
-	dst := make([]float32, 4)
-	c1 := pe.EWMul(dst, make([]float32, 4), make([]float32, 4))
-	c2 := pe.EWAdd(dst, make([]float32, 4), make([]float32, 4))
-	if pe.BusyCycles() != c1+c2 || pe.Ops() != 2 {
-		t.Fatalf("accounting: busy=%d ops=%d", pe.BusyCycles(), pe.Ops())
-	}
-}
-
-func TestThroughputOneOpPerCycle(t *testing.T) {
-	// Streaming throughput: large vectors cost ~1 cycle per element
-	// (pipeline fill amortized).
-	pe := New(Default())
-	n := 10000
-	dst := make([]float32, n)
-	cycles := pe.EWMul(dst, make([]float32, n), make([]float32, n))
-	perOp := float64(cycles) / float64(n)
-	if perOp > 1.01 {
-		t.Fatalf("EW throughput %.4f cycles/op", perOp)
-	}
-	pe2 := New(Default())
-	_, dotCycles := pe2.DotProduct(make([]float32, n), make([]float32, n))
-	perMac := float64(dotCycles) / float64(n)
-	if perMac > 1.02 {
-		t.Fatalf("MAC throughput %.4f cycles/op", perMac)
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(Config{MulLatency: 0, AddLatency: 8})
-}
-
-func TestOpString(t *testing.T) {
-	for op, want := range map[Op]string{
-		OpMatVec: "matvec", OpEWMul: "ewmul", OpOuter: "outer", OpEWAdd: "ewadd",
-	} {
-		if op.String() != want {
-			t.Fatalf("%v != %s", op, want)
-		}
-	}
-}
+import "testing"
 
 // TestOmniPESmallerThanUnified reproduces the Sec. V-A resource claim:
 // the Omni-PE is substantially smaller than a monolithic PE, which is
@@ -162,53 +17,5 @@ func TestOmniPESmallerThanUnified(t *testing.T) {
 	}
 	if omni.TotalPower() >= unified.TotalPower() {
 		t.Fatal("Omni-PE must draw less power")
-	}
-}
-
-// Property: DotProduct matches a float64 reference within tolerance for
-// random vectors and latencies.
-func TestPropertyDotProduct(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		r := rng.New(seed)
-		n := int(nRaw)%200 + 1
-		a := make([]float32, n)
-		b := make([]float32, n)
-		var want float64
-		for i := range a {
-			a[i] = r.Uniform(-1, 1)
-			b[i] = r.Uniform(-1, 1)
-			want += float64(a[i]) * float64(b[i])
-		}
-		pe := New(Config{MulLatency: 1 + int(seed%5), AddLatency: 1 + int(seed%9)})
-		got, _ := pe.DotProduct(a, b)
-		return math.Abs(float64(got)-want) < 1e-3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: SparseDotProduct equals DotProduct when the sparse operand
-// has explicit zeros at pruned positions.
-func TestPropertySparseEqualsDense(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 64
-		a := make([]float32, n)
-		b := make([]float32, n)
-		for i := range a {
-			if r.Float64() < 0.6 {
-				a[i] = 0
-			} else {
-				a[i] = r.Uniform(-1, 1)
-			}
-			b[i] = r.Uniform(-1, 1)
-		}
-		d1, _ := New(Default()).DotProduct(a, b)
-		d2, _ := New(Default()).SparseDotProduct(a, b)
-		return math.Abs(float64(d1-d2)) < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -20,7 +20,7 @@ func TestWarmCellLoopAllocs(t *testing.T) {
 
 	const input, hidden, batch = 16, 16, 4
 	r := rng.New(31)
-	p := NewParams(input, hidden)
+	p := newParams(input, hidden)
 	p.Init(r)
 	x := tensor.New(batch, input)
 	h0 := tensor.New(batch, hidden)
@@ -69,7 +69,7 @@ func TestWarmCellLoopAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, p1Cycle); avg > 0 {
 		t.Errorf("warm P1 FW+BP cycle (recorder on) allocates %.2f times, want 0", avg)
 	}
-	if rec := ws.Recorder(); rec.Observed(obs.PhaseFW) == 0 || rec.Observed(obs.PhaseBPMatMul) == 0 {
+	if n := ws.Recorder().Snapshot().N; n[obs.PhaseFW] == 0 || n[obs.PhaseBPMatMul] == 0 {
 		t.Error("recorder-on cycles recorded no spans — instrumentation is disconnected")
 	}
 }
@@ -87,7 +87,7 @@ func BenchmarkWarmCellCycle(b *testing.B) {
 
 	const input, hidden, batch = 16, 16, 4
 	r := rng.New(31)
-	p := NewParams(input, hidden)
+	p := newParams(input, hidden)
 	p.Init(r)
 	x := tensor.New(batch, input)
 	h0 := tensor.New(batch, hidden)

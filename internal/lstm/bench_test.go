@@ -9,7 +9,7 @@ import (
 
 func benchSetup(hidden, batch int) (*Params, *tensor.Matrix, *tensor.Matrix, *tensor.Matrix) {
 	r := rng.New(1)
-	p := NewParams(hidden, hidden)
+	p := newParams(hidden, hidden)
 	p.Init(r)
 	x := tensor.New(batch, hidden)
 	h := tensor.New(batch, hidden)

@@ -42,12 +42,6 @@ func (c *FWCache) IntermediateBytes() int64 {
 	return c.F.Bytes() + c.I.Bytes() + c.C.Bytes() + c.O.Bytes() + c.S.Bytes()
 }
 
-// ActivationBytes returns the bytes of the cell's stored activations
-// (x_t and h_{t-1}; s_{t-1} aliases the previous cell's S).
-func (c *FWCache) ActivationBytes() int64 {
-	return c.X.Bytes() + c.HPrev.Bytes()
-}
-
 // Release returns the cache's owned buffers (F, I, C̃, O, S) to ws and
 // recycles the header. The borrowed activations are merely dropped. The
 // caller must hold no other reference to the owned matrices — note that
@@ -115,7 +109,7 @@ func Forward(ws *tensor.Workspace, p *Params, x, hPrev, sPrev *tensor.Matrix) (h
 			iv := tensor.Sigmoid32((xi[k] + hi[k]) + bi[j])
 			cv := tensor.Tanh32((xc[k] + hc[k]) + bc[j])
 			ov := tensor.Sigmoid32((xo[k] + ho[k]) + bo[j])
-			sv := fv*sPrev.Data[k] + iv*cv
+			sv := float32(fv*sPrev.Data[k]) + float32(iv*cv)
 			f.Data[k], i.Data[k], cg.Data[k], o.Data[k], s.Data[k] = fv, iv, cv, ov, sv
 			h.Data[k] = ov * tensor.Tanh32(sv)
 		}
@@ -203,7 +197,7 @@ func Backward(ws *tensor.Workspace, p *Params, grads *Grads, cache *FWCache, in 
 		ts := tensor.Tanh32(s)
 
 		dhk := dh.Data[k]
-		ds := dhk * o * (1 - ts*ts)
+		ds := float32(dhk * o * (1 - float32(ts*ts)))
 		if in.DS != nil {
 			ds += in.DS.Data[k]
 		}
@@ -211,7 +205,7 @@ func Backward(ws *tensor.Workspace, p *Params, grads *Grads, cache *FWCache, in 
 		dGate[GateO].Data[k] = dhk * ts * o * (1 - o)
 		dGate[GateF].Data[k] = ds * sp * f * (1 - f)
 		dGate[GateI].Data[k] = ds * c * i * (1 - i)
-		dGate[GateC].Data[k] = ds * i * (1 - c*c)
+		dGate[GateC].Data[k] = ds * i * (1 - float32(c*c))
 		dsPrev.Data[k] = ds * f
 	}
 	ws.Put(dh)
@@ -248,16 +242,4 @@ func matmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPrev *ten
 	ws.Put(tmpH)
 	sp.End()
 	return BPOutput{DX: dx, DHPrev: dhPrev, DSPrev: dsPrev}
-}
-
-// RecomputeForward re-runs the FW cell math from stored activations to
-// rebuild the intermediates — the "recompute from scratch" extreme the
-// paper dismisses as impractical (Sec. III-C). It exists so the ablation
-// benches can quantify exactly how much BP latency full recomputation
-// adds compared with MS1's reordering. The rebuilt h is released
-// immediately (only the cache matters to the BP cell that follows).
-func RecomputeForward(ws *tensor.Workspace, p *Params, x, hPrev, sPrev *tensor.Matrix) *FWCache {
-	h, _, cache := Forward(ws, p, x, hPrev, sPrev)
-	ws.Put(h)
-	return cache
 }

@@ -92,12 +92,6 @@ func NewParamsOn(buf []float32, input, hidden int) *Params {
 	return p
 }
 
-// NewParams allocates zeroed parameters for a layer with the given
-// input and hidden widths.
-func NewParams(input, hidden int) *Params {
-	return NewParamsOn(make([]float32, LayerLen(input, hidden)), input, hidden)
-}
-
 // Init fills the parameters with the standard LSTM initialization:
 // Xavier-uniform weights and a +1 forget-gate bias (helps gradient flow
 // on long sequences).
@@ -179,18 +173,4 @@ func (g *Grads) AbsSum() float64 {
 		s += g.W[i].AbsSum() + g.U[i].AbsSum()
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute gradient entry, used for clipping.
-func (g *Grads) MaxAbs() float32 {
-	var mx float32
-	for i := Gate(0); i < NumGates; i++ {
-		if v := g.W[i].MaxAbs(); v > mx {
-			mx = v
-		}
-		if v := g.U[i].MaxAbs(); v > mx {
-			mx = v
-		}
-	}
-	return mx
 }

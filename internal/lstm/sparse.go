@@ -47,25 +47,6 @@ type SparseP1 struct {
 	planes        [numPlanes]pairPlane
 }
 
-// NNZ returns the total surviving pairs across the six planes.
-func (s *SparseP1) NNZ() int {
-	n := 0
-	for i := range s.planes {
-		n += len(s.planes[i].idx)
-	}
-	return n
-}
-
-// Density returns NNZ over the dense element count — 1 minus the prune
-// ratio the BP-EW-P2/BP-MatMul spans can skip.
-func (s *SparseP1) Density() float64 {
-	total := numPlanes * s.batch * s.hidden
-	if total == 0 {
-		return 0
-	}
-	return float64(s.NNZ()) / float64(total)
-}
-
 // release resets the plane slices (keeping their capacity, so warm
 // cycles stay allocation-free) and recycles the header.
 func (s *SparseP1) release(ws *tensor.Workspace) {
@@ -172,7 +153,7 @@ func BackwardFromP1Sparse(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 		off := i * hidden
 		for n := pl.start[i]; n < pl.start[i+1]; n++ {
 			k := off + int(pl.idx[n])
-			ds.Data[k] = dh.Data[k]*pl.val[n] + ds.Data[k]
+			ds.Data[k] = float32(dh.Data[k]*pl.val[n]) + ds.Data[k]
 		}
 	}
 
@@ -226,7 +207,7 @@ func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 				wrow := p.W[g].Row(j)
 				var sum float32
 				for _, kk := range pat {
-					sum += dgrow[kk] * wrow[kk]
+					sum += float32(dgrow[kk] * wrow[kk])
 				}
 				dxrow[j] += sum
 			}
@@ -235,7 +216,7 @@ func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 				urow := p.U[g].Row(j)
 				var sum float32
 				for _, kk := range pat {
-					sum += dgrow[kk] * urow[kk]
+					sum += float32(dgrow[kk] * urow[kk])
 				}
 				dhrow[j] += sum
 			}
@@ -261,7 +242,7 @@ func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 				}
 				wrow := grads.W[g].Row(i)
 				for _, kk := range pat {
-					wrow[kk] += av * dgrow[kk]
+					wrow[kk] += float32(av * dgrow[kk])
 				}
 			}
 			for i, av := range hPrev.Row(k) {
@@ -270,7 +251,7 @@ func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 				}
 				urow := grads.U[g].Row(i)
 				for _, kk := range pat {
-					urow[kk] += av * dgrow[kk]
+					urow[kk] += float32(av * dgrow[kk])
 				}
 			}
 			brow := grads.B[g]

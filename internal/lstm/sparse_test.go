@@ -22,7 +22,7 @@ type sparseCell struct {
 
 func newSparseCell(seed uint64, input, hidden, batch int) *sparseCell {
 	r := rng.New(seed)
-	c := &sparseCell{p: NewParams(input, hidden)}
+	c := &sparseCell{p: newParams(input, hidden)}
 	c.p.Init(r)
 	c.x = tensor.New(batch, input)
 	c.h0 = tensor.New(batch, hidden)
@@ -62,7 +62,7 @@ func pruneP1(p1 *P1, th float32) float64 {
 // strictest tolerance).
 func requireBitwise(t *testing.T, label string, a, b *tensor.Matrix) {
 	t.Helper()
-	if d := tensor.MaxULPDiff(a, b); d != 0 {
+	if d := maxULPDiff(a, b); d != 0 {
 		t.Errorf("%s: max ULP distance %d, want bitwise", label, d)
 	}
 }
@@ -162,7 +162,7 @@ func TestSparseTopKPropagatedGradientsExact(t *testing.T) {
 	// drops real mass; if they match, the sparsifier silently never ran.
 	diff := false
 	for g := Gate(0); g < NumGates && !diff; g++ {
-		diff = tensor.MaxULPDiff(dGrads.W[g], sGrads.W[g]) != 0
+		diff = maxULPDiff(dGrads.W[g], sGrads.W[g]) != 0
 	}
 	if !diff {
 		t.Error("top-k with k << rowlen left every weight gradient identical — the sparsifier is disconnected")
@@ -293,8 +293,7 @@ func TestWarmSparseCellLoopAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, topk); avg > 0 {
 		t.Errorf("warm sparse+topk BP cycle (recorder on) allocates %.2f times, want 0", avg)
 	}
-	rec := ws.Recorder()
-	if rec.Observed(obs.PhaseBPEWP1) == 0 || rec.Observed(obs.PhaseBPEWP2) == 0 || rec.Observed(obs.PhaseBPMatMul) == 0 {
+	if n := ws.Recorder().Snapshot().N; n[obs.PhaseBPEWP1] == 0 || n[obs.PhaseBPEWP2] == 0 || n[obs.PhaseBPMatMul] == 0 {
 		t.Error("sparse cycles recorded no spans — instrumentation is disconnected")
 	}
 }
@@ -401,4 +400,14 @@ func BenchmarkWarmSparseCellCycle(b *testing.B) {
 			}
 		})
 	}
+}
+
+// maxULPDiff returns the largest per-element ULP distance between
+// same-shaped a and b.
+func maxULPDiff(a, b *tensor.Matrix) int64 {
+	var mx int64
+	for i, v := range a.Data {
+		mx = max(mx, tensor.ULPDiff32(v, b.Data[i]))
+	}
+	return mx
 }

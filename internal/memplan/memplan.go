@@ -175,21 +175,3 @@ func scaleCellActivations(cfg model.Config, total int64, liveFrac float64) int64
 	fixed := total - cellH
 	return fixed + int64(float64(cellH)*liveFrac)
 }
-
-// Reduction returns 1 − footprint(mode)/footprint(baseline): the Fig. 18
-// metric.
-func Reduction(cfg model.Config, mode Mode, p Params) float64 {
-	base := Footprint(cfg, Baseline, p).Total()
-	if base == 0 {
-		return 0
-	}
-	opt := Footprint(cfg, mode, p).Total()
-	return 1 - float64(opt)/float64(base)
-}
-
-// FitsIn reports whether the baseline footprint of cfg fits in a device
-// with memBytes of DRAM — the Fig. 3b observation that 7- and 8-layer
-// models cannot train on a 16 GB RTX 5000.
-func FitsIn(cfg model.Config, memBytes int64) bool {
-	return Footprint(cfg, Baseline, Params{}).Total() <= memBytes
-}

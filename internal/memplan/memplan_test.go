@@ -123,17 +123,6 @@ func TestCombinedComposes(t *testing.T) {
 	}
 }
 
-func TestReductionMetric(t *testing.T) {
-	cfg := ptbCfg()
-	r := Reduction(cfg, Combined, Params{P1KeepRatio: 0.55, SkipFrac: 0.6})
-	if r <= 0 || r >= 1 {
-		t.Fatalf("reduction out of range: %v", r)
-	}
-	if Reduction(cfg, Baseline, Params{}) != 0 {
-		t.Fatal("baseline reduction must be 0")
-	}
-}
-
 // TestCombinedReductionPaperRegime: with the paper's operating points
 // (65 % P1 sparsity, ~50-70 % skip on long benchmarks) the combined
 // footprint reduction on the long-sequence benchmarks — the ones
@@ -145,7 +134,7 @@ func TestCombinedReductionPaperRegime(t *testing.T) {
 		if b.Cfg.SeqLen >= 100 {
 			skipFrac = 0.65
 		}
-		r := Reduction(b.Cfg, Combined, Params{P1KeepRatio: FromSparsity(0.65), SkipFrac: skipFrac})
+		r := reduction(b.Cfg, Combined, Params{P1KeepRatio: FromSparsity(0.65), SkipFrac: skipFrac})
 		if b.Cfg.SeqLen >= 100 {
 			if r < 0.35 || r > 0.85 {
 				t.Errorf("%s: combined reduction %.3f outside the Fig. 18 band", b.Name, r)
@@ -182,10 +171,10 @@ func TestFitsIn(t *testing.T) {
 	gibF := float64(gib)
 	budget := int64(2.9 * gibF) // 16 GiB / PyTorchOverheadFactor (5.5)
 	for _, sc := range workload.Fig3LayerSweep() {
-		fits := FitsIn(sc.Cfg, budget)
+		total := Footprint(sc.Cfg, Baseline, Params{}).Total()
+		fits := total <= budget
 		wantFits := sc.Cfg.Layers <= 6
 		if fits != wantFits {
-			total := Footprint(sc.Cfg, Baseline, Params{}).Total()
 			t.Errorf("%s: fits=%v want %v (total %.2f GiB)", sc.Label, fits, wantFits,
 				float64(total)/float64(gib))
 		}
@@ -227,4 +216,10 @@ func TestModeString(t *testing.T) {
 			t.Fatalf("%v", m)
 		}
 	}
+}
+
+// reduction returns 1 − footprint(mode)/footprint(baseline): the
+// Fig. 18 metric.
+func reduction(cfg model.Config, mode Mode, p Params) float64 {
+	return 1 - float64(Footprint(cfg, mode, p).Total())/float64(Footprint(cfg, Baseline, p).Total())
 }

@@ -314,10 +314,10 @@ func TestCheckpointedRecomputeSpanRecorded(t *testing.T) {
 	if err := n.BackwardCheckpointed(res, nil, n.NewGradients(), BackwardOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Observed(obs.PhaseRecomputeFW); got != 2 {
+	if got := rec.Snapshot().N[obs.PhaseRecomputeFW]; got != 2 {
 		t.Fatalf("recompute-FW spans: got %d, want one per replayed segment (2)", got)
 	}
-	if rec.Observed(obs.PhaseBPMatMul) == 0 || rec.Observed(obs.PhaseFW) == 0 {
+	if rec.Snapshot().N[obs.PhaseBPMatMul] == 0 || rec.Snapshot().N[obs.PhaseFW] == 0 {
 		t.Fatal("FW/BP phases should still record")
 	}
 }

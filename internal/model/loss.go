@@ -44,7 +44,7 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, targets []int) (loss float64, dL
 			sum += math.Exp(float64(v - mx))
 		}
 		logZ := math.Log(sum) + float64(mx)
-		loss += (logZ - float64(row[tgt])) * inv
+		loss += float64((logZ - float64(row[tgt])) * inv)
 		for j, v := range row {
 			p := math.Exp(float64(v-mx)) / sum
 			drow[j] = float32(p * inv)

@@ -181,10 +181,6 @@ func (n *Network) CopyWeightsFrom(src *Network) error {
 	return nil
 }
 
-// ParamBytes returns total parameter storage (weight matrices +
-// projection), the "Parameter" bar of paper Fig. 5.
-func (n *Network) ParamBytes() int64 { return int64(len(n.params)) * 4 }
-
 // Targets carries supervision for one minibatch. Exactly one of the
 // fields is consulted, selected by Config.Loss:
 //   - SingleLoss: Classes[SeqLen-1] (other timesteps ignored);

@@ -473,22 +473,6 @@ func TestArgmax(t *testing.T) {
 	}
 }
 
-func TestParamBytes(t *testing.T) {
-	cfg := testConfig(SingleLoss)
-	r := rng.New(12)
-	n, _ := NewNetwork(cfg, r)
-	var want int64
-	for _, p := range n.Layer {
-		for g := range p.W {
-			want += p.W[g].Bytes() + p.U[g].Bytes() + int64(len(p.B[g]))*4
-		}
-	}
-	want += n.Proj.Bytes() + int64(cfg.OutSize)*4
-	if n.ParamBytes() != want {
-		t.Fatalf("ParamBytes: %d want %d", n.ParamBytes(), want)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	cfg := testConfig(SingleLoss)
 	n, err := NewNetwork(cfg, rng.New(3))
@@ -610,8 +594,8 @@ func TestParamVectorLayout(t *testing.T) {
 			t.Fatalf("%s: views cover %d of %d values", c.name, off, len(c.vec))
 		}
 	}
-	if int64(len(n.Params()))*4 != n.ParamBytes() {
-		t.Fatalf("vector holds %d values, ParamBytes %d", len(n.Params()), n.ParamBytes())
+	if want, _ := cfg.ParamCount(); len(n.Params()) != want {
+		t.Fatalf("vector holds %d values, ParamCount %d", len(n.Params()), want)
 	}
 
 	// A write through a view reaches the vector: layer 1 starts after

@@ -59,8 +59,8 @@ func TestLabeledGaugeAndFunc(t *testing.T) {
 // one stale series per checkpoint generation.
 func TestSetInfoReplacesLabel(t *testing.T) {
 	r := NewRegistry()
-	r.SetInfo("ckpt_digest", "served checkpoint digest", "digest", "aaaa")
-	r.SetInfo("ckpt_digest", "served checkpoint digest", "digest", "bbbb")
+	r.SetInfoKV("ckpt_digest", "served checkpoint digest", "digest", "aaaa")
+	r.SetInfoKV("ckpt_digest", "served checkpoint digest", "digest", "bbbb")
 
 	snap := r.Snapshot()
 	if snap[`ckpt_digest{digest="bbbb"}`] != 1 {
@@ -84,7 +84,7 @@ func TestSetInfoReplacesLabel(t *testing.T) {
 
 func TestLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.SetInfo("weird", "", "v", "a\"b\\c\nd")
+	r.SetInfoKV("weird", "", "v", "a\"b\\c\nd")
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestInfoFuncLazy(t *testing.T) {
 	if snap := r.Snapshot(); snap[`ckpt_digest{digest="cccc"}`] != 1 || calls != 1 {
 		t.Fatalf("after one export: calls=%d snapshot=%v", calls, snap)
 	}
-	r.SetInfo("ckpt_digest", "", "digest", "dddd")
+	r.SetInfoKV("ckpt_digest", "", "digest", "dddd")
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

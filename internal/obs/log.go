@@ -22,23 +22,6 @@ func NewLogger(w io.Writer) *Logger {
 	return &Logger{s: slog.New(slog.NewTextHandler(w, nil))}
 }
 
-// NewLoggerFunc adapts a printf-style sink (testing.T.Logf) into a
-// Logger — the test harness shape.
-func NewLoggerFunc(logf func(format string, args ...any)) *Logger {
-	return NewLogger(writerFunc(func(p []byte) (int, error) {
-		// Trim the handler's trailing newline; logf adds its own.
-		if n := len(p); n > 0 && p[n-1] == '\n' {
-			p = p[:n-1]
-		}
-		logf("%s", p)
-		return len(p), nil
-	}))
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
 // With returns a logger that adds the given attribute pairs to every
 // record (nil-safe).
 func (l *Logger) With(args ...any) *Logger {

@@ -345,19 +345,12 @@ func (r *Registry) gaugeFunc(name, labels, help string, fn func() float64) {
 	r.entries[k] = &entry{name: name, labels: labels, help: help, kind: kindGaugeFunc, fn: fn}
 }
 
-// SetInfo registers (or relabels) an info-style gauge: a series that is
-// constantly 1 and carries its payload in the label value — e.g.
-// etalstm_checkpoint_digest{digest="ab12…"} 1. The entry is keyed by
-// name alone, so calling SetInfo again replaces the label in place (a
-// checkpoint hot-swap updates the digest rather than accumulating one
-// stale series per generation).
-func (r *Registry) SetInfo(name, help, labelKey, labelVal string) {
-	r.SetInfoKV(name, help, labelKey, labelVal)
-}
-
-// SetInfoKV is SetInfo with several label pairs (kv alternates key,
-// value) — build-info style gauges carry goversion/version/revision in
-// one series.
+// SetInfoKV registers (or relabels) an info-style gauge: a series that
+// is constantly 1 and carries its payload in its label pairs (kv
+// alternates key, value) — e.g. etalstm_build_info{goversion=…} 1. The
+// entry is keyed by name alone, so calling SetInfoKV again replaces the
+// labels in place (a checkpoint hot-swap updates a digest rather than
+// accumulating one stale series per generation).
 func (r *Registry) SetInfoKV(name, help string, kv ...string) {
 	var b strings.Builder
 	for i := 0; i+1 < len(kv); i += 2 {
@@ -369,10 +362,10 @@ func (r *Registry) SetInfoKV(name, help string, kv ...string) {
 	r.setInfo(&entry{name: name, labels: b.String(), help: help, kind: kindInfo})
 }
 
-// InfoFunc is SetInfo with the label value computed at export time, for
-// a payload that costs work to produce and may never be read (a served
-// checkpoint's content digest). A later SetInfo or InfoFunc under the
-// same name replaces it.
+// InfoFunc is SetInfoKV with one label whose value is computed at export
+// time, for a payload that costs work to produce and may never be read
+// (a served checkpoint's content digest). A later SetInfoKV or InfoFunc
+// under the same name replaces it.
 func (r *Registry) InfoFunc(name, help, labelKey string, fn func() string) {
 	r.setInfo(&entry{name: name, help: help, kind: kindInfo, infoKey: labelKey, infoFn: fn})
 }

@@ -131,16 +131,6 @@ func (r *Recorder) Add(o *Recorder) {
 	}
 }
 
-// Observed returns how many spans have been recorded for phase p
-// (0 on a nil recorder) — the cheap way for tests and assertions to
-// check instrumentation is actually connected.
-func (r *Recorder) Observed(p Phase) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.n[p]
-}
-
 // Reset zeroes the recorder.
 func (r *Recorder) Reset() {
 	if r == nil {

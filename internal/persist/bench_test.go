@@ -59,6 +59,6 @@ func TestDigestAllocsFlat(t *testing.T) {
 	sn, ln := testNet(t), benchNet(t)
 	if small, large := allocs(sn), allocs(ln); large != small {
 		t.Fatalf("Digest allocations grow with size: %v for %d floats, %v for %d",
-			small, sn.ParamBytes()/4, large, ln.ParamBytes()/4)
+			small, len(sn.Params()), large, len(ln.Params()))
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func makeP1(seed uint64, batch, hidden int) *lstm.P1 {
 	r := rng.New(seed)
-	p := lstm.NewParams(hidden, hidden)
+	p := lstm.NewParamsOn(make([]float32, lstm.LayerLen(hidden, hidden)), hidden, hidden)
 	p.Init(r)
 	x := tensor.New(batch, hidden)
 	h0 := tensor.New(batch, hidden)
@@ -63,7 +63,9 @@ func TestEncodeDecodeMatchesPruned(t *testing.T) {
 
 	om, pm := orig.Matrices(), pruned.Matrices()
 	for i := range om {
-		dec := compress.Encode(om[i], 0.1).MustDecode(nil)
+		var fb compress.Feedback
+		var s compress.Sparse
+		dec := fb.EncodeInto(&s, om[i], 0.1).MustDecode(nil)
 		if !dec.Equal(pm[i], 0) {
 			t.Fatalf("plane %d: codec path differs from in-place pruning", i)
 		}
@@ -76,7 +78,7 @@ func TestEncodeDecodeMatchesPruned(t *testing.T) {
 func TestPrunedBPStillDescends(t *testing.T) {
 	const hidden, batch = 8, 4
 	r := rng.New(10)
-	p := lstm.NewParams(hidden, hidden)
+	p := lstm.NewParamsOn(make([]float32, lstm.LayerLen(hidden, hidden)), hidden, hidden)
 	p.Init(r)
 	x := tensor.New(batch, hidden)
 	x.RandInit(r, 1)

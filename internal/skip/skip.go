@@ -114,9 +114,6 @@ type LossHistory struct {
 // Record appends a completed epoch's loss.
 func (h *LossHistory) Record(loss float64) { h.losses = append(h.losses, loss) }
 
-// Len returns the number of recorded epochs.
-func (h *LossHistory) Len() int { return len(h.losses) }
-
 // Last returns the most recent recorded loss (0 if none).
 func (h *LossHistory) Last() float64 {
 	if len(h.losses) == 0 {

@@ -160,7 +160,7 @@ func TestLossHistoryLast(t *testing.T) {
 		t.Fatal("empty Last")
 	}
 	h.Record(3)
-	if h.Last() != 3 || h.Len() != 1 {
+	if h.Last() != 3 || len(h.losses) != 1 {
 		t.Fatal("Last/Len")
 	}
 }
@@ -288,14 +288,17 @@ func TestApplyScaling(t *testing.T) {
 	r := rng.New(1)
 	net, _ := model.NewNetwork(cfg, r)
 	g := net.NewGradients()
-	g.Layer[0].W[0].Fill(1)
-	g.Layer[1].W[0].Fill(1)
+	for _, l := range g.Layer {
+		for i := range l.W[0].Data {
+			l.W[0].Data[i] = 1
+		}
+	}
 	plan := NoSkip(2, 4, model.StoreRaw)
 	plan.Scale[1] = 2
 	if err := plan.ApplyScaling(g); err != nil {
 		t.Fatal(err)
 	}
-	if g.Layer[0].W[0].At(0, 0) != 1 || g.Layer[1].W[0].At(0, 0) != 2 {
+	if g.Layer[0].W[0].Data[0] != 1 || g.Layer[1].W[0].Data[0] != 2 {
 		t.Fatal("scaling must apply per layer")
 	}
 	bad := NoSkip(3, 4, model.StoreRaw)
@@ -321,7 +324,7 @@ func TestSkipTrainingStillConverges(t *testing.T) {
 	for i := range tg.Classes {
 		tg.Classes[i] = make([]int, cfg.Batch)
 		for b := range tg.Classes[i] {
-			if xs[cfg.SeqLen-1].At(b, 0) > 0 {
+			if xs[cfg.SeqLen-1].Row(b)[0] > 0 {
 				tg.Classes[i][b] = 1
 			}
 		}

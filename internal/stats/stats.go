@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
 // harnesses use: empirical CDFs over absolute values (paper Fig. 6),
-// fixed-bin histograms, and series summaries (paper Fig. 8).
+// fixed-bin histograms, and series trends (paper Fig. 8).
 package stats
 
 import (
@@ -32,9 +32,6 @@ func (c *CDF) Merge(vs []float32) {
 	sort.Float64s(c.sorted)
 }
 
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // At returns P(|v| ≤ x).
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -43,35 +40,6 @@ func (c *CDF) At(x float64) float64 {
 	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(idx) / float64(len(c.sorted))
 }
-
-// Quantile returns the q-th quantile (q in [0,1]).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(q * float64(len(c.sorted)-1))
-	return c.sorted[idx]
-}
-
-// Curve samples the CDF at n+1 evenly spaced points of [0, hi] — the
-// plot series of Fig. 6.
-func (c *CDF) Curve(hi float64, n int) []Point {
-	pts := make([]Point, 0, n+1)
-	for i := 0; i <= n; i++ {
-		x := hi * float64(i) / float64(n)
-		pts = append(pts, Point{X: x, Y: c.At(x)})
-	}
-	return pts
-}
-
-// Point is one (x, y) sample of a plotted series.
-type Point struct{ X, Y float64 }
 
 // Histogram counts values into equal-width bins over [lo, hi); values
 // outside clamp into the edge bins.
@@ -105,51 +73,6 @@ func (h *Histogram) Observe(v float64) {
 // Total returns the observation count.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Frac returns the fraction of observations in bin i.
-func (h *Histogram) Frac(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.total)
-}
-
-// Summary holds the moments of a sample.
-type Summary struct {
-	N         int
-	Mean, Std float64
-	Min, Max  float64
-	AbsMean   float64
-}
-
-// Summarize computes a Summary of vs.
-func Summarize(vs []float64) Summary {
-	s := Summary{N: len(vs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = vs[0], vs[0]
-	var sum, sumAbs float64
-	for _, v := range vs {
-		sum += v
-		sumAbs += math.Abs(v)
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	s.AbsMean = sumAbs / float64(s.N)
-	var sq float64
-	for _, v := range vs {
-		d := v - s.Mean
-		sq += d * d
-	}
-	s.Std = math.Sqrt(sq / float64(s.N))
-	return s
-}
-
 // Monotone classifies a series' trend: +1 broadly increasing, −1
 // broadly decreasing, 0 neither (uses the sign of the endpoints' slope
 // with a majority-of-steps confirmation) — how the Fig. 8 harness
@@ -175,24 +98,6 @@ func Monotone(vs []float64) int {
 		return -1
 	}
 	return 0
-}
-
-// GeoMean returns the geometric mean of positive values (used for the
-// speedup averages of Fig. 15; non-positive entries are skipped).
-func GeoMean(vs []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, v := range vs {
-		if v <= 0 {
-			continue
-		}
-		logSum += math.Log(v)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
 }
 
 // Quantiles returns the q-th quantiles of vs (nearest-rank on a sorted
@@ -256,20 +161,6 @@ func NewZipf(n int, s float64) *Zipf {
 		cum[k] /= total
 	}
 	return &Zipf{cum: cum}
-}
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// P returns the probability of rank k.
-func (z *Zipf) P(k int) float64 {
-	if k < 0 || k >= len(z.cum) {
-		return 0
-	}
-	if k == 0 {
-		return z.cum[0]
-	}
-	return z.cum[k] - z.cum[k-1]
 }
 
 // Rank maps a uniform draw u ∈ [0, 1) to a rank by inverse CDF:

@@ -10,15 +10,12 @@ func TestZipfProbabilities(t *testing.T) {
 	// Weights 1, 1/2, 1/3, 1/4 → total 25/12.
 	total := 1.0 + 0.5 + 1.0/3 + 0.25
 	for k, want := range []float64{1, 0.5, 1.0 / 3, 0.25} {
-		if got := z.P(k); math.Abs(got-want/total) > 1e-12 {
+		if got := prob(z, k); math.Abs(got-want/total) > 1e-12 {
 			t.Errorf("P(%d) = %v, want %v", k, got, want/total)
 		}
 	}
-	if z.P(-1) != 0 || z.P(4) != 0 {
-		t.Error("out-of-range rank has non-zero probability")
-	}
-	if z.N() != 4 {
-		t.Errorf("N = %d, want 4", z.N())
+	if len(z.cum) != 4 {
+		t.Errorf("N = %d, want 4", len(z.cum))
 	}
 }
 
@@ -48,26 +45,26 @@ func TestZipfRankInverseCDF(t *testing.T) {
 // head.
 func TestZipfSkewMonotone(t *testing.T) {
 	z := NewZipf(64, 1.1)
-	for k := 1; k < z.N(); k++ {
-		if z.P(k) >= z.P(k-1) {
-			t.Fatalf("P(%d)=%v not below P(%d)=%v", k, z.P(k), k-1, z.P(k-1))
+	for k := 1; k < len(z.cum); k++ {
+		if prob(z, k) >= prob(z, k-1) {
+			t.Fatalf("P(%d)=%v not below P(%d)=%v", k, prob(z, k), k-1, prob(z, k-1))
 		}
 	}
 	flat := NewZipf(64, 0.5)
-	if z.P(0) <= flat.P(0) {
-		t.Fatalf("s=1.1 head mass %v not above s=0.5 head mass %v", z.P(0), flat.P(0))
+	if prob(z, 0) <= prob(flat, 0) {
+		t.Fatalf("s=1.1 head mass %v not above s=0.5 head mass %v", prob(z, 0), prob(flat, 0))
 	}
 	// Sampled frequencies follow the CDF: a uniform grid of draws lands
 	// each rank a number of times proportional to its probability.
-	counts := make([]int, z.N())
+	counts := make([]int, len(z.cum))
 	const draws = 100000
 	for i := 0; i < draws; i++ {
 		counts[z.Rank((float64(i)+0.5)/draws)]++
 	}
 	for k := 0; k < 4; k++ {
 		got := float64(counts[k]) / draws
-		if math.Abs(got-z.P(k)) > 2e-5+1.0/draws {
-			t.Errorf("rank %d sampled at %v, want %v", k, got, z.P(k))
+		if math.Abs(got-prob(z, k)) > 2e-5+1.0/draws {
+			t.Errorf("rank %d sampled at %v, want %v", k, got, prob(z, k))
 		}
 	}
 }
@@ -79,4 +76,12 @@ func TestZipfPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	NewZipf(0, 1)
+}
+
+// prob returns the probability of rank k under z.
+func prob(z *Zipf, k int) float64 {
+	if k == 0 {
+		return z.cum[0]
+	}
+	return z.cum[k] - z.cum[k-1]
 }

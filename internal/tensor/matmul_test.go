@@ -113,7 +113,7 @@ func TestMatMulBlockedBitwise(t *testing.T) {
 							z := a.Clone()
 							for i := 0; i < m; i++ {
 								for kk := pos; kk < k; kk += 4 {
-									z.Set(i, kk, specials[(i+kk)%2])
+									z.Row(i)[kk] = specials[(i+kk)%2]
 								}
 							}
 							checkBitwise(t, z, b)

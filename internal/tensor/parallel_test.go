@@ -31,9 +31,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
 	serial := MatMul(nil, a, b)
-	serialTB := MatMulTransB(nil, a, Transpose(nil, b))
+	serialTB := MatMulTransB(nil, a, transpose(b))
 	big := New(97, 113)
-	big.Fill(0.5)
+	fill(big, 0.5)
 	serialAdd := big.Clone()
 	AddMatMulTransA(serialAdd, a, MatMul(nil, a, b))
 
@@ -42,7 +42,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if got := MatMul(nil, a, b); !got.Equal(serial, 0) {
 			t.Fatalf("MatMul differs at %d workers", w)
 		}
-		if got := MatMulTransB(nil, a, Transpose(nil, b)); !got.Equal(serialTB, 0) {
+		if got := MatMulTransB(nil, a, transpose(b)); !got.Equal(serialTB, 0) {
 			t.Fatalf("MatMulTransB differs at %d workers", w)
 		}
 		add := big.Clone()
@@ -68,7 +68,7 @@ func TestSmallKernelsStaySerial(t *testing.T) {
 	}
 }
 
-// Property: MatMulTransA equals its definition at high worker counts.
+// Property: AddMatMulTransA into zeros equals its definition at high worker counts.
 func TestPropertyParallelTransA(t *testing.T) {
 	prev := SetWorkers(8)
 	defer SetWorkers(prev)
@@ -78,8 +78,9 @@ func TestPropertyParallelTransA(t *testing.T) {
 		b := New(33, 29)
 		a.RandInit(r, 1)
 		b.RandInit(r, 1)
-		got := MatMulTransA(nil, a, b)
-		want := MatMul(nil, Transpose(nil, a), b)
+		got := New(41, 29)
+		AddMatMulTransA(got, a, b)
+		want := MatMul(nil, transpose(a), b)
 		return got.Equal(want, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -41,12 +41,6 @@ func NewFromData(rows, cols int, data []float32) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
@@ -67,13 +61,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element of m to v.
-func (m *Matrix) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
 	}
 }
 
@@ -176,23 +163,6 @@ func axpyRows(d, a []float32, b *Matrix, k0 int) {
 	}
 }
 
-// MatMulTransA computes dst = aᵀ · b (a: k×m, b: k×n, dst: m×n) without
-// materializing the transpose.
-func MatMulTransA(dst, a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d vs %d", a.Rows, b.Rows))
-	}
-	if dst == nil {
-		dst = New(a.Cols, b.Cols)
-	} else if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransA dst %dx%d want %dx%d",
-			dst.Rows, dst.Cols, a.Cols, b.Cols))
-	}
-	dst.Zero()
-	AddMatMulTransA(dst, a, b)
-	return dst
-}
-
 // MatMulTransB computes dst = a · bᵀ (a: m×k, b: n×k, dst: m×n) without
 // materializing the transpose.
 func MatMulTransB(dst, a, b *Matrix) *Matrix {
@@ -268,66 +238,12 @@ func addMatMulTransASpan(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// Transpose returns aᵀ as a new matrix (or into dst when non-nil).
-func Transpose(dst, a *Matrix) *Matrix {
-	if dst == nil {
-		dst = New(a.Cols, a.Rows)
-	} else if dst.Rows != a.Cols || dst.Cols != a.Rows {
-		panic("tensor: Transpose dst shape")
-	}
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			dst.Set(j, i, a.At(i, j))
-		}
-	}
-	return dst
-}
-
-// Add computes dst = a + b element-wise.
-func Add(dst, a, b *Matrix) *Matrix {
-	a.mustSameShape(b, "Add")
-	if dst == nil {
-		dst = New(a.Rows, a.Cols)
-	}
-	dst.mustSameShape(a, "Add dst")
-	for i, av := range a.Data {
-		dst.Data[i] = av + b.Data[i]
-	}
-	return dst
-}
-
 // AddInPlace computes dst += a element-wise.
 func AddInPlace(dst, a *Matrix) {
 	dst.mustSameShape(a, "AddInPlace")
 	for i, av := range a.Data {
 		dst.Data[i] += av
 	}
-}
-
-// Sub computes dst = a - b element-wise.
-func Sub(dst, a, b *Matrix) *Matrix {
-	a.mustSameShape(b, "Sub")
-	if dst == nil {
-		dst = New(a.Rows, a.Cols)
-	}
-	dst.mustSameShape(a, "Sub dst")
-	for i, av := range a.Data {
-		dst.Data[i] = av - b.Data[i]
-	}
-	return dst
-}
-
-// Mul computes dst = a ⊙ b (Hadamard product).
-func Mul(dst, a, b *Matrix) *Matrix {
-	a.mustSameShape(b, "Mul")
-	if dst == nil {
-		dst = New(a.Rows, a.Cols)
-	}
-	dst.mustSameShape(a, "Mul dst")
-	for i, av := range a.Data {
-		dst.Data[i] = av * b.Data[i]
-	}
-	return dst
 }
 
 // Scale computes dst = a * s element-wise.
@@ -397,38 +313,6 @@ func (m *Matrix) AbsSum() float64 {
 		s += math.Abs(float64(v))
 	}
 	return s
-}
-
-// MaxAbs returns max |a_ij|.
-func (m *Matrix) MaxAbs() float32 {
-	var mx float32
-	for _, v := range m.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
-// FracBelow returns the fraction of elements with |v| < threshold —
-// the sparsity statistic behind Fig. 6 and the compression module.
-func (m *Matrix) FracBelow(threshold float32) float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range m.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v < threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(m.Data))
 }
 
 // Equal reports whether m and o have identical shape and elements

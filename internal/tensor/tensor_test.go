@@ -29,28 +29,25 @@ func TestNewFromDataPanicsOnLen(t *testing.T) {
 	NewFromData(2, 2, []float32{1, 2, 3})
 }
 
-func TestAtSetRow(t *testing.T) {
+func TestRowAliasesStorage(t *testing.T) {
 	m := New(2, 3)
-	m.Set(1, 2, 5)
-	if m.At(1, 2) != 5 {
-		t.Fatal("At/Set roundtrip")
-	}
+	m.Data[1*3+2] = 5
 	r := m.Row(1)
 	if r[2] != 5 {
 		t.Fatal("Row aliasing")
 	}
 	r[0] = 7
-	if m.At(1, 0) != 7 {
+	if m.Data[1*3+0] != 7 {
 		t.Fatal("Row must alias storage")
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
 	m := New(2, 2)
-	m.Fill(3)
+	fill(m, 3)
 	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) != 3 {
+	c.Data[0] = 9
+	if m.Data[0] != 3 {
 		t.Fatal("Clone must deep-copy")
 	}
 }
@@ -71,7 +68,7 @@ func TestMatMulIdentity(t *testing.T) {
 	a.RandInit(r, 1)
 	id := New(4, 4)
 	for i := 0; i < 4; i++ {
-		id.Set(i, i, 1)
+		id.Row(i)[i] = 1
 	}
 	got := MatMul(nil, a, id)
 	if !got.Equal(a, 1e-6) {
@@ -88,26 +85,13 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(nil, New(2, 3), New(2, 3))
 }
 
-func TestMatMulTransA(t *testing.T) {
-	r := rng.New(2)
-	a := New(5, 3)
-	b := New(5, 4)
-	a.RandInit(r, 1)
-	b.RandInit(r, 1)
-	want := MatMul(nil, Transpose(nil, a), b)
-	got := MatMulTransA(nil, a, b)
-	if !got.Equal(want, 1e-4) {
-		t.Fatal("MatMulTransA disagrees with explicit transpose")
-	}
-}
-
 func TestMatMulTransB(t *testing.T) {
 	r := rng.New(3)
 	a := New(4, 6)
 	b := New(5, 6)
 	a.RandInit(r, 1)
 	b.RandInit(r, 1)
-	want := MatMul(nil, a, Transpose(nil, b))
+	want := MatMul(nil, a, transpose(b))
 	got := MatMulTransB(nil, a, b)
 	if !got.Equal(want, 1e-4) {
 		t.Fatal("MatMulTransB disagrees with explicit transpose")
@@ -121,36 +105,16 @@ func TestAddMatMulTransAAccumulates(t *testing.T) {
 	a.RandInit(r, 1)
 	b.RandInit(r, 1)
 	dst := New(2, 5)
-	dst.Fill(1)
-	want := Add(nil, dst, MatMulTransA(nil, a, b))
+	fill(dst, 1)
+	want := add(dst, MatMul(nil, transpose(a), b))
 	AddMatMulTransA(dst, a, b)
 	if !dst.Equal(want, 1e-4) {
 		t.Fatal("AddMatMulTransA accumulation wrong")
 	}
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	r := rng.New(5)
-	a := New(3, 7)
-	a.RandInit(r, 1)
-	tt := Transpose(nil, Transpose(nil, a))
-	if !tt.Equal(a, 0) {
-		t.Fatal("(Aᵀ)ᵀ != A")
-	}
-}
-
 func TestElementwiseOps(t *testing.T) {
 	a := NewFromData(1, 4, []float32{1, 2, 3, 4})
-	b := NewFromData(1, 4, []float32{10, 20, 30, 40})
-	if got := Add(nil, a, b); got.Data[3] != 44 {
-		t.Fatalf("Add: %v", got.Data)
-	}
-	if got := Sub(nil, b, a); got.Data[0] != 9 {
-		t.Fatalf("Sub: %v", got.Data)
-	}
-	if got := Mul(nil, a, b); got.Data[2] != 90 {
-		t.Fatalf("Mul: %v", got.Data)
-	}
 	if got := Scale(nil, a, 2); got.Data[1] != 4 {
 		t.Fatalf("Scale: %v", got.Data)
 	}
@@ -170,7 +134,7 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 	bias := []float32{1, -1}
 	got := AddRowVector(nil, a, bias)
 	for i := 0; i < 3; i++ {
-		if got.At(i, 0) != 1 || got.At(i, 1) != -1 {
+		if got.Row(i)[0] != 1 || got.Row(i)[1] != -1 {
 			t.Fatalf("AddRowVector row %d: %v", i, got.Row(i))
 		}
 	}
@@ -204,16 +168,10 @@ func TestSigmoidRange(t *testing.T) {
 	}
 }
 
-func TestAbsSumMaxAbsFracBelow(t *testing.T) {
+func TestAbsSum(t *testing.T) {
 	m := NewFromData(1, 4, []float32{-1, 0.05, 2, -0.01})
 	if got := m.AbsSum(); math.Abs(got-3.06) > 1e-6 {
 		t.Fatalf("AbsSum: %v", got)
-	}
-	if m.MaxAbs() != 2 {
-		t.Fatalf("MaxAbs: %v", m.MaxAbs())
-	}
-	if got := m.FracBelow(0.1); got != 0.5 {
-		t.Fatalf("FracBelow: %v", got)
 	}
 }
 
@@ -227,7 +185,7 @@ func TestXavierInitScale(t *testing.T) {
 			t.Fatalf("Xavier value %v outside ±%v", v, limit)
 		}
 	}
-	if m.MaxAbs() < limit/2 {
+	if maxAbs(m) < limit/2 {
 		t.Fatal("Xavier init suspiciously small")
 	}
 }
@@ -257,8 +215,8 @@ func TestPropertyMatMulDistributive(t *testing.T) {
 		a.RandInit(r, 1)
 		b1.RandInit(r, 1)
 		b2.RandInit(r, 1)
-		l := MatMul(nil, a, Add(nil, b1, b2))
-		rm := Add(nil, MatMul(nil, a, b1), MatMul(nil, a, b2))
+		l := MatMul(nil, a, add(b1, b2))
+		rm := add(MatMul(nil, a, b1), MatMul(nil, a, b2))
 		return l.Equal(rm, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -273,8 +231,8 @@ func TestPropertyMatMulTransposeIdentity(t *testing.T) {
 		a, b := New(3, 5), New(5, 4)
 		a.RandInit(r, 1)
 		b.RandInit(r, 1)
-		l := Transpose(nil, MatMul(nil, a, b))
-		rm := MatMul(nil, Transpose(nil, b), Transpose(nil, a))
+		l := transpose(MatMul(nil, a, b))
+		rm := MatMul(nil, transpose(b), transpose(a))
 		return l.Equal(rm, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -326,4 +284,38 @@ func TestEqualShapeMismatch(t *testing.T) {
 	if New(2, 3).Equal(New(3, 2), 1) {
 		t.Fatal("Equal must reject shape mismatch")
 	}
+}
+
+// transpose returns aᵀ: the reference the transposed products are
+// checked against.
+func transpose(a *Matrix) *Matrix {
+	t := New(a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			t.Row(j)[i] = a.Row(i)[j]
+		}
+	}
+	return t
+}
+
+// add returns a + b element-wise.
+func add(a, b *Matrix) *Matrix {
+	s := a.Clone()
+	AddInPlace(s, b)
+	return s
+}
+
+func fill(m *Matrix, v float32) {
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+}
+
+// maxAbs returns max |m_ij|.
+func maxAbs(m *Matrix) float32 {
+	var mx float32
+	for _, v := range m.Data {
+		mx = max(mx, v, -v)
+	}
+	return mx
 }

@@ -42,23 +42,3 @@ func ULPDiff32(a, b float32) int64 {
 func WithinULP(a, b float32, maxULP int64) bool {
 	return ULPDiff32(a, b) <= maxULP
 }
-
-// MaxULPDiff32 returns the largest per-element float32 ULP distance
-// between m and o — the bound the float16-storage contract is stated
-// in (a binary16 round trip of a normal float32 moves it at most 2^12
-// single-precision ULPs, since half keeps 10 of the 23 mantissa bits).
-func MaxULPDiff32(m, o *Matrix) int64 { return MaxULPDiff(m, o) }
-
-// MaxULPDiff returns the largest per-element ULP distance between m and
-// o. Shapes must match (mismatches panic, consistent with the rest of
-// the package). An empty matrix compares as identical (0).
-func MaxULPDiff(m, o *Matrix) int64 {
-	m.mustSameShape(o, "MaxULPDiff")
-	var mx int64
-	for i, v := range m.Data {
-		if d := ULPDiff32(v, o.Data[i]); d > mx {
-			mx = d
-		}
-	}
-	return mx
-}

@@ -41,13 +41,14 @@ func TestULPDiff32(t *testing.T) {
 	}
 }
 
-func TestMaxULPDiff(t *testing.T) {
-	a := NewFromData(1, 3, []float32{1, 2, 3})
-	b := NewFromData(1, 3, []float32{1, math.Nextafter32(2, 3), 3})
-	if got := MaxULPDiff(a, b); got != 1 {
-		t.Fatalf("MaxULPDiff = %d, want 1", got)
+// maxULPDiff returns the largest per-element ULP distance between
+// same-shaped m and o.
+func maxULPDiff(m, o *Matrix) int64 {
+	var mx int64
+	for i, v := range m.Data {
+		if d := ULPDiff32(v, o.Data[i]); d > mx {
+			mx = d
+		}
 	}
-	if got := MaxULPDiff(a, a); got != 0 {
-		t.Fatalf("MaxULPDiff(a, a) = %d, want 0", got)
-	}
+	return mx
 }

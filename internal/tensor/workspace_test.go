@@ -12,7 +12,7 @@ func TestWorkspaceRecycles(t *testing.T) {
 	if a.Rows != 4 || a.Cols != 8 || len(a.Data) != 32 {
 		t.Fatalf("Get shape: %v len %d", a, len(a.Data))
 	}
-	a.Fill(3)
+	fill(a, 3)
 	ws.Put(a)
 	b := ws.Get(8, 4) // same element count, different shape
 	if b != a {

@@ -24,7 +24,6 @@
 package traffic
 
 import (
-	"etalstm/internal/memplan"
 	"etalstm/internal/model"
 )
 
@@ -74,10 +73,6 @@ func Baseline(cfg model.Config) Movement {
 	}
 	return m
 }
-
-// Params carries the measured optimization inputs (shared with the
-// footprint model so experiments stay consistent).
-type Params = memplan.Params
 
 // WithMS1 returns the traffic under cell-level variable reduction.
 // sparsity is the P1 near-zero fraction.

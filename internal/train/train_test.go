@@ -11,6 +11,7 @@ import (
 	"etalstm/internal/rng"
 	"etalstm/internal/tensor"
 	"etalstm/internal/train"
+	"etalstm/internal/workload"
 )
 
 // syntheticProvider is a tiny deterministic classification task: the
@@ -38,7 +39,7 @@ func newSyntheticTask(cfg model.Config, nBatches int, seed uint64) *syntheticPro
 			for i := range tg.Classes[t] {
 				// Deterministic rule: class = sign pattern of the first
 				// two features of the last input step.
-				v := xs[cfg.SeqLen-1].At(i, 0)
+				v := xs[cfg.SeqLen-1].Row(i)[0]
 				cls := 0
 				if v > 0 {
 					cls = 1
@@ -154,7 +155,9 @@ func TestClipGradients(t *testing.T) {
 	r := rng.New(49)
 	net, _ := model.NewNetwork(cfg, r)
 	g := net.NewGradients()
-	g.Proj.Fill(100)
+	for i := range g.Proj.Data {
+		g.Proj.Data[i] = 100
+	}
 	norm := train.ClipGradients(g, 1)
 	if norm <= 1 {
 		t.Fatalf("expected large pre-clip norm, got %v", norm)
@@ -173,9 +176,9 @@ func TestClipNoopBelowThreshold(t *testing.T) {
 	r := rng.New(50)
 	net, _ := model.NewNetwork(cfg, r)
 	g := net.NewGradients()
-	g.Proj.Set(0, 0, 0.5)
+	g.Proj.Data[0] = 0.5
 	train.ClipGradients(g, 10)
-	if g.Proj.At(0, 0) != 0.5 {
+	if g.Proj.Data[0] != 0.5 {
 		t.Fatal("clip must not rescale small gradients")
 	}
 }
@@ -204,6 +207,41 @@ func TestEvaluateMAERequiresRegression(t *testing.T) {
 	net, _ := model.NewNetwork(cfg, r)
 	if _, err := train.EvaluateMAE(net, newSyntheticTask(cfg, 1, 15)); err == nil {
 		t.Fatal("expected error for non-regression model")
+	}
+}
+
+// TestEvaluateMAE: with every weight and bias zero, each gate sits at
+// σ(0) or tanh(0), so s and h stay 0 and every output is 0; the MAE is
+// then the mean |target| over batches, timesteps and elements.
+func TestEvaluateMAE(t *testing.T) {
+	bench, err := workload.ByName("WAYMO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := bench.Scaled(64, 6, 4)
+	net, err := model.NewNetwork(small.Cfg, rng.New(53))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(net.Params())
+	prov := small.Provider(2, 54)
+	var want float64
+	var n int
+	for b := 0; b < prov.NumBatches(); b++ {
+		for _, m := range prov.Batch(b).Targets.Regress {
+			for _, v := range m.Data {
+				want += math.Abs(float64(v))
+			}
+			n += len(m.Data)
+		}
+	}
+	want /= float64(n)
+	got, err := train.EvaluateMAE(net, prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("EvaluateMAE = %v, want mean |target| %v", got, want)
 	}
 }
 
